@@ -289,12 +289,13 @@ fi
 # --- bench-large lane: block-size scaling smoke ----------------------------
 # Re-runs the bench with TXCONC_BENCH_LARGE=1, which adds the 10k-tx
 # concatenated-block cells on top of the fast {124, 1000} grid (reps are
-# automatically cut to <=3 for cells of 10k+ txs, and occ is excluded
-# there — see the skip notice in bench/ablation_engines.cpp). The gate
-# then checks the large cells against the committed baselines AND the
-# attainment floor: >= 2 parallel engines must beat sequential wall clock
-# at >= 4 threads on >= 1000-tx blocks on multicore hosts, or hold
-# wall_speedup >= 0.9 on hosts with < 4 cores.
+# automatically cut to <=3 for cells of 10k+ txs). A coverage check then
+# requires a 10k-tx row for every (engine, threads) pair the base block
+# ran, so no registry engine can be silently skipped at the large size.
+# The gate then checks the large cells against the committed baselines
+# AND the attainment floor: >= 2 parallel engines must beat sequential
+# wall clock at >= 4 threads on >= 1000-tx blocks on multicore hosts, or
+# hold wall_speedup >= 0.9 on hosts with < 4 cores.
 if lane_enabled bench-large; then
   echo "== lane: bench-large =="
   if [ ! -x build/bench/ablation_engines ]; then
@@ -306,7 +307,16 @@ if lane_enabled bench-large; then
   (cd build/bench-large && env TXCONC_BENCH_LARGE=1 \
     TXCONC_BENCH_FAST="${TXCONC_BENCH_FAST:-1}" \
     "${BENCH_BIN}" --benchmark_filter='^$' > bench.log 2>&1)
-  grep -q "skipping occ at block_txs=10000" build/bench-large/bench.log
+  python3 - build/bench-large/BENCH_exec.json <<'PYEOF'
+import json, sys
+rows = json.load(open(sys.argv[1]))["results"]
+def grid(size):
+    return {(r["executor"], r["threads"]) for r in rows
+            if r["block_txs"] == size}
+missing = grid(min(r["block_txs"] for r in rows)) - grid(10000)
+if missing:
+    sys.exit(f"bench-large FAILED: no 10k-tx row for {sorted(missing)}")
+PYEOF
   scripts/bench_gate --exec build/bench-large/BENCH_exec.json \
     --profile build/bench-large/BENCH_profile.json \
     --contend build/bench-large/BENCH_contention.json

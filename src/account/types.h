@@ -72,10 +72,10 @@ struct SlotAccess {
 };
 
 /// Hash for SlotAccess keys in unordered containers (conflict detection,
-/// OCC validation, block analysis). Boost-style hash_combine: a plain
-/// `hash(address) ^ key*phi` lets related (address, key) pairs cancel each
-/// other out under XOR and alias distinct slots; folding each field into
-/// the running seed keeps slots of the same address apart.
+/// block analysis). Boost-style hash_combine: a plain `hash(address) ^
+/// key*phi` lets related (address, key) pairs cancel each other out under
+/// XOR and alias distinct slots; folding each field into the running seed
+/// keeps slots of the same address apart.
 struct SlotAccessHash {
   std::size_t operator()(const SlotAccess& s) const noexcept {
     std::size_t seed = std::hash<Address>{}(s.address);

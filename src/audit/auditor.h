@@ -18,8 +18,10 @@
 //      finish strictly before the later one begins, while a pure
 //      anti-dependency (later tx only overwrites what the earlier one
 //      read) is violated only when the earlier reader ran strictly after
-//      the later writer — OCC legitimately overlaps anti-dependencies
-//      under snapshot isolation with in-order commit.
+//      the later writer — speculative-fww legitimately overlaps
+//      anti-dependencies: it checks later transactions only against
+//      committed *writes*, so an earlier reader and a later writer of
+//      the same slot both commit from the concurrent phase.
 //
 // When uninstalled (RuntimeConfig::recorder == nullptr) the executors pay
 // nothing: apply_transaction takes one pointer comparison per call.
@@ -57,11 +59,12 @@ const char* to_string(AuditViolation::Kind kind);
 /// How the executor under audit orders conflicting commits — selects which
 /// check-(b) rules finish_block applies.
 enum class CommitDiscipline {
-  /// Interval exclusivity (every engine up to occ): a true or output
+  /// Interval exclusivity (every engine but block-stm): a true or output
   /// dependency requires the earlier final run to end strictly before the
-  /// later one begins; anti-dependencies may overlap but the reader must
-  /// not run strictly after the writer; abandoned attempts are broken
-  /// recorder pairings.
+  /// later one begins; anti-dependencies may overlap (speculative-fww
+  /// commits an earlier reader and a later writer from the same phase)
+  /// but the reader must not run strictly after the writer; abandoned
+  /// attempts are broken recorder pairings.
   kInterval,
   /// Multi-version stores (block-stm): concurrent attempts over the same
   /// slots are the design. Reads resolve strictly-lower-index versions, so

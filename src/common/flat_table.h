@@ -166,7 +166,7 @@ class FlatTable {
   std::size_t tombstones_ = 0;
 };
 
-/// Membership-only companion of FlatTable (conflict sets, OCC wave write
+/// Membership-only companion of FlatTable (conflict sets, committed-write
 /// sets). Same epoch-clear and allocation behavior.
 template <typename Key, typename Hash = std::hash<Key>>
 class FlatSet {

@@ -3,9 +3,9 @@
 //
 // The executors' results are required to be schedule-independent; the
 // perturber makes that property testable by forcing many distinct worker
-// interleavings (OCC wave claim orders, speculative overlay completion
-// orders, caller-runs vs helper-runs races) out of one binary, one seed
-// per interleaving family.
+// interleavings (Block-STM task claim orders, speculative overlay
+// completion orders, caller-runs vs helper-runs races) out of one binary,
+// one seed per interleaving family.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,7 @@ enum class PerturbAction : unsigned {
   kNone = 0,
   kYield,       ///< std::this_thread::yield()
   kShortSleep,  ///< 1-5 us: reorders adjacent grain claims
-  kLongSleep,   ///< 20-100 us: lets whole waves drain past this thread
+  kLongSleep,   ///< 20-100 us: lets whole grain runs drain past this thread
 };
 
 struct Perturbation {

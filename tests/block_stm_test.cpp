@@ -2,8 +2,8 @@
 // multi-version store's resolution/estimate/incarnation rules, exact
 // re-execution counts on a hand-built dependency chain (deterministic
 // scheduler mode), the negative control proving validation is
-// load-bearing, and the occ wave-serialization regression the block-stm
-// design exists to avoid (DESIGN.md §13.3 vs §14).
+// load-bearing, and the one-execution-per-tx pin on an all-conflicting
+// block that the block-stm design exists to deliver (DESIGN.md §14).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -340,16 +340,13 @@ TEST(BlockStm, RegistryEntryIsFlaggedMultiVersion) {
   EXPECT_TRUE(found);
 }
 
-// ------------------------------------------- occ wave-serialization pin
+// ------------------------------------------------ hot-slot chain pin
 
-TEST(OccRegression, InOrderValidationSerializesHotSlotBlocks) {
-  // Regression pin for DESIGN.md §13.3: occ's in-order validation commits
-  // exactly one transaction per wave on an all-conflicting block, so a
-  // 48-tx hot-slot block costs 48+47+...+1 executions. This documents
-  // today's collapse (the reason occ is excluded from 10k+ bench cells)
-  // so a future fix shows up as a deliberate change, not silent drift —
-  // and contrasts it with block-stm, which resolves the same chain with
-  // one execution per transaction when dispatched in block order.
+TEST(BlockStm, InOrderDispatchRunsHotSlotChainOncePerTx) {
+  // Every pair of this 48-tx block conflicts on one hot receiver, yet
+  // block-stm dispatched in block order must execute each transaction
+  // exactly once: a conflict costs rework only when an earlier write
+  // lands after a later read (DESIGN.md §14).
   constexpr std::uint64_t kTxs = 48;
   account::StateDb genesis;
   std::vector<account::AccountTx> block;
@@ -366,11 +363,9 @@ TEST(OccRegression, InOrderValidationSerializesHotSlotBlocks) {
   genesis.flush_journal();
   account::RuntimeConfig config;
 
-  account::StateDb occ_state = genesis;
-  const ExecutionReport occ_report =
-      make_occ_executor(4)->execute_block(occ_state, block, config);
-  EXPECT_EQ(occ_report.executions, kTxs * (kTxs + 1) / 2);
-  EXPECT_EQ(occ_state.balance(addr(9)), kTxs);
+  account::StateDb reference = genesis;
+  make_sequential_executor()->execute_block(reference, block, config);
+  EXPECT_EQ(reference.balance(addr(9)), kTxs);
 
   BlockStmOptions options;
   options.deterministic = true;
@@ -379,7 +374,7 @@ TEST(OccRegression, InOrderValidationSerializesHotSlotBlocks) {
                                          ->execute_block(stm_state, block,
                                                          config);
   EXPECT_EQ(stm_report.executions, kTxs);
-  EXPECT_EQ(stm_state.digest(), occ_state.digest());
+  EXPECT_EQ(stm_state.digest(), reference.digest());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "chain/utxo_node.h"
 #include "common/error.h"
+#include "exec/block_stm.h"
 #include "exec/executor.h"
 #include "exec/replay.h"
 #include "shard/cross_shard.h"
@@ -211,7 +212,7 @@ TEST(Integration, MixedExecutorsPerBlockStillAgree) {
   pool.push_back(exec::make_sequential_executor());
   pool.push_back(exec::make_speculative_executor(3));
   pool.push_back(exec::make_group_executor(2));
-  pool.push_back(exec::make_occ_executor(3));
+  pool.push_back(exec::make_block_stm_executor(3));
   pool.push_back(exec::make_oracle_executor(2));
   pool.push_back(
       exec::make_speculative_executor(2, exec::AbortPolicy::kFirstWriterWins));

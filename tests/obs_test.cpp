@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -182,6 +183,36 @@ TEST(Tracer, ChromeTraceRoundTrip) {
 
   tracer.clear();
   EXPECT_EQ(tracer.event_count(), 0u);
+}
+
+// ts is exported in us with exactly three ns digits at any tracer age: a
+// tracer older than 1 s must not fall back to 6-significant-digit
+// exponent form (10 us steps).
+TEST(Tracer, TimestampsKeepNanosecondDigitsPastOneSecond) {
+  Tracer tracer;
+  std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+  tracer.enable();
+  { TXCONC_SPAN_T(&tracer, "late", "test"); }
+  tracer.disable();
+
+  std::ostringstream out;
+  tracer.write_chrome_trace(out);
+  const std::string json = out.str();
+  std::size_t checked = 0;
+  for (std::size_t pos = json.find("\"ts\":"); pos != std::string::npos;
+       pos = json.find("\"ts\":", pos + 1)) {
+    const std::size_t begin = pos + 5;
+    const std::string ts =
+        json.substr(begin, json.find_first_of(",}", begin) - begin);
+    const std::size_t dot = ts.find('.');
+    ASSERT_NE(dot, std::string::npos) << ts;
+    EXPECT_EQ(ts.size() - dot - 1, 3u) << ts;
+    EXPECT_EQ(ts.find_first_not_of("0123456789."), std::string::npos) << ts;
+    EXPECT_GE(std::stod(ts), 1e6) << ts;  // past the 1 s mark
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2u);  // the span's B and E
+  EXPECT_TRUE(validate_chrome_trace(json).ok);
 }
 
 TEST(Tracer, SpanStaysBalancedAcrossProcessRelabel) {

@@ -14,12 +14,14 @@
 //      block, sink/engine abort tallies disagree, sound closure missed
 //      an observed address)
 //   2  usage error / unknown engine
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exec/contention_probe.h"
@@ -40,6 +42,15 @@ std::string registry_names() {
     names += spec.name;
   }
   return names;
+}
+
+/// Parse all of `text` as a number; false on empty input, a stray sign,
+/// trailing characters or overflow (a usage error, not an exception).
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 int usage() {
@@ -116,18 +127,18 @@ int main(int argc, char** argv) {
     if (arg.rfind("--engine=", 0) == 0) {
       engine_filter = arg.substr(9);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<unsigned>(std::stoul(arg.substr(10)));
-      if (threads == 0) return usage();
+      if (!parse_number(arg.substr(10), threads) || threads == 0) {
+        return usage();
+      }
     } else if (arg.rfind("--blocks=", 0) == 0) {
-      blocks = std::stoull(arg.substr(9));
-      if (blocks == 0) return usage();
+      if (!parse_number(arg.substr(9), blocks) || blocks == 0) return usage();
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
+      if (!parse_number(arg.substr(7), seed)) return usage();
     } else if (arg.rfind("--format=", 0) == 0) {
       format = arg.substr(9);
       if (format != "text" && format != "json") return usage();
     } else if (arg.rfind("--top=", 0) == 0) {
-      top_k = static_cast<std::size_t>(std::stoul(arg.substr(6)));
+      if (!parse_number(arg.substr(6), top_k)) return usage();
     } else if (arg == "--no-predict") {
       predict = false;
     } else {

@@ -10,16 +10,27 @@
 //   0  all blocks pass the attribution sanity gates
 //   1  a gate failed (sum off budget, untracked share too high)
 //   2  usage, I/O, or malformed/unanalyzable trace
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/critpath.h"
 #include "obs/trace.h"
 
 namespace {
+
+/// Parse all of `text` as a number; false on empty input, a stray sign,
+/// trailing characters or overflow (a usage error, not an exception).
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
 
 int usage() {
   std::cerr << "usage: txconc_profile [--format=text|json] [--top=K] "
@@ -43,12 +54,14 @@ int main(int argc, char** argv) {
       format = arg.substr(9);
       if (format != "text" && format != "json") return usage();
     } else if (arg.rfind("--top=", 0) == 0) {
-      top_k = static_cast<std::size_t>(std::stoul(arg.substr(6)));
-      if (top_k == 0) return usage();
+      if (!parse_number(arg.substr(6), top_k) || top_k == 0) return usage();
     } else if (arg.rfind("--eps=", 0) == 0) {
-      eps = std::stod(arg.substr(6));
+      if (!parse_number(arg.substr(6), eps) || !(eps >= 0.0)) return usage();
     } else if (arg.rfind("--untracked-max=", 0) == 0) {
-      untracked_max = std::stod(arg.substr(16));
+      if (!parse_number(arg.substr(16), untracked_max) ||
+          !(untracked_max >= 0.0)) {
+        return usage();
+      }
     } else if (arg.rfind("--engine=", 0) == 0) {
       // Profile only the blocks this engine executed (the trace process
       // name set by obs::ThreadProcessScope). Multi-engine traces like
