@@ -2,9 +2,10 @@
 # CI entry point. Lanes (select with TXCONC_CI_LANES, comma-separated;
 # default runs all):
 #  * tier1 — configure, build (-Wall -Wextra -Wshadow -Werror), ctest,
-#    then an observability smoke: a traced ablation_engines run must
-#    emit a valid, non-empty Chrome trace AND the critpath profiler's
-#    attribution sum invariant must hold for every engine ("profile OK");
+#    then an observability smoke: a traced fast-mode ablation_engines
+#    run (from build/obs-smoke/) must emit a valid, non-empty Chrome
+#    trace AND the critpath profiler's attribution sum invariant must
+#    hold for every engine ("profile OK");
 #  * asan  — ASan/UBSan on exec_test + conformance_test + audit_test:
 #    memory errors and UB under the thread pool's chunked parallel_for;
 #    txconc_profile then analyzes the traced exec_test run, driving the
@@ -25,20 +26,20 @@
 #    helpers is rejected. Unlike tsa/tidy this lane is never skipped: the
 #    checker is built by this repo's own CMake with no clang dependency;
 #  * bench — benchmark regression gate: a fresh TXCONC_BENCH_FAST run of
-#    bench/ablation_engines is compared against the committed baselines in
-#    bench/baselines/ by scripts/bench_gate (hardware-portable ratios with
-#    per-metric tolerances), then a negative control re-runs the bench
-#    with TXCONC_BENCH_INJECT_SLOWDOWN_PCT=20 and asserts the gate FAILS —
-#    proving the lane has teeth. The same fresh run writes
-#    BENCH_profile.json (per-cell wall-clock attribution), gated by
-#    absolute invariants (sum within eps of threads x wall, bounded
-#    untracked share), and BENCH_contention.json (measured c/l, hot keys,
-#    prediction quality), gated by --contend with its own doctored-JSON
-#    negative control. After an intentional perf change, refresh the
-#    baselines with
-#      scripts/bench_gate --exec BENCH_exec.json --obs BENCH_obs.json \
-#        --profile BENCH_profile.json --refresh
-#    and commit bench/baselines/*.json;
+#    bench/ablation_engines writes one BENCH.json (a row per executor x
+#    threads x block size, with per-cell wall-clock attribution and
+#    contention on the explained cells, plus the tracer-overhead ladder),
+#    which scripts/bench_gate checks against the committed baseline
+#    bench/baselines/BENCH.json (hardware-portable ratios with fixed
+#    tolerances) and against absolute invariants. Three negative controls
+#    prove the lane has teeth; each must fail the gate with exit 1 AND the
+#    failure line of the check it targets: a doctored measured conflict
+#    rate ("generator intent"), a deleted contention object ("coverage"),
+#    and a re-run with TXCONC_BENCH_INJECT_SLOWDOWN_PCT=20 ("exec
+#    aggregate"). After an intentional perf change, refresh the baseline
+#    with
+#      scripts/bench_gate BENCH.json --refresh
+#    and commit bench/baselines/BENCH.json;
 #  * bench-large — the same bench with TXCONC_BENCH_LARGE=1: adds the
 #    10k-tx concatenated-block cells (reduced reps) and enforces the
 #    large-block attainment floor (wall_speedup > 1 at >= 4 threads on
@@ -82,14 +83,17 @@ if lane_enabled tier1; then
   # Chrome trace whose spans the bench's built-in validator accepts
   # ("trace OK ...") and whose critpath profile satisfies the
   # attribution sum invariant for every registry engine ("profile OK";
-  # see run_traced_executions in bench/ablation_engines.cpp).
-  TXCONC_TRACE=build/obs_smoke_trace.json \
-    ./build/bench/ablation_engines --benchmark_filter='^$' \
-    > build/obs_smoke.log 2>&1
-  grep -q "trace OK" build/obs_smoke.log
-  grep -q "profile OK" build/obs_smoke.log
-  test -s build/obs_smoke_trace.json
-  echo "obs smoke OK: build/obs_smoke_trace.json"
+  # see run_traced_executions in bench/ablation_engines.cpp). Fast mode
+  # and a scratch CWD: only the trace is checked, and the run's BENCH.json
+  # stays out of the repo root.
+  mkdir -p build/obs-smoke
+  (cd build/obs-smoke && TXCONC_BENCH_FAST=1 \
+    TXCONC_TRACE=obs_smoke_trace.json \
+    ../bench/ablation_engines --benchmark_filter='^$' > obs_smoke.log 2>&1)
+  grep -q "trace OK" build/obs-smoke/obs_smoke.log
+  grep -q "profile OK" build/obs-smoke/obs_smoke.log
+  test -s build/obs-smoke/obs_smoke_trace.json
+  echo "obs smoke OK: build/obs-smoke/obs_smoke_trace.json"
 fi
 
 # --- ASan/UBSan over the execution layer -----------------------------------
@@ -225,12 +229,11 @@ if lane_enabled lint; then
   echo "lint lane OK: ${RULES} rules clean over src/"
 fi
 
-# --- bench lane: regression gate + negative control ------------------------
-# Gates hardware-portable ratios (wall_speedup / simulated_speedup /
-# tracer overhead) from a fresh fast-mode run against the committed
-# baselines, then proves the gate can fail by injecting a synthetic +20%
-# slowdown (applied to non-sequential rows only; see bench/ablation_engines
-# and DESIGN.md §12 for the tolerance rationale).
+# --- bench lane: regression gate + negative controls -----------------------
+# Gates hardware-portable ratios (wall_speedup / simulated_speedup) from a
+# fresh fast-mode run against the committed baseline plus the absolute
+# tracer, attribution, contention and coverage invariants, then proves
+# three of the checks can fail (see DESIGN.md §12.3 for the catalogue).
 if lane_enabled bench; then
   echo "== lane: bench =="
   if [ ! -x build/bench/ablation_engines ]; then
@@ -239,50 +242,61 @@ if lane_enabled bench; then
   fi
   BENCH_BIN="$(pwd)/build/bench/ablation_engines"
   run_bench() {
-    # ablation_engines writes BENCH_*.json into the CWD; run it from a
-    # scratch dir so the gate never clobbers the committed files.
+    # ablation_engines writes BENCH.json into the CWD; run it from a
+    # scratch dir so the gate never clobbers the committed baseline.
     local out="$1"; shift
     mkdir -p "${out}"
     (cd "${out}" && env "$@" TXCONC_BENCH_FAST="${TXCONC_BENCH_FAST:-1}" \
       "${BENCH_BIN}" --benchmark_filter='^$' > bench.log 2>&1)
   }
+  # expect_gate_failure LOG PATTERN GATE_ARGS...: the gate must exit 1 (a
+  # regression, not a crash or bad input) and log PATTERN, the failure
+  # line of the check the control targets.
+  expect_gate_failure() {
+    local log="$1" pattern="$2" code=0; shift 2
+    scripts/bench_gate "$@" > "${log}" 2>&1 || code=$?
+    if [ "${code}" -ne 1 ] || ! grep -q "${pattern}" "${log}"; then
+      echo "bench lane FAILED: expected exit 1 with '${pattern}'," \
+           "got exit ${code}"
+      cat "${log}"
+      exit 1
+    fi
+  }
   run_bench build/bench-fresh
-  scripts/bench_gate --exec build/bench-fresh/BENCH_exec.json \
-    --obs build/bench-fresh/BENCH_obs.json \
-    --profile build/bench-fresh/BENCH_profile.json \
-    --contend build/bench-fresh/BENCH_contention.json
-  echo "bench gate vs committed baselines: OK"
-  # Contention negative control: doctoring one cell's measured conflict
-  # rate away from the generator's intent must trip --contend — proving
-  # the measured-vs-intent check has teeth.
+  scripts/bench_gate build/bench-fresh/BENCH.json
+  echo "bench gate vs committed baseline: OK"
+  # Doctored copies of the fresh run, gated against the fresh run itself
+  # so every exec ratio is exactly 1 and only the doctored check can fail:
+  # one explained cell's measured conflict rate pushed away from the
+  # generator's intent, and another explained cell's contention object
+  # deleted.
   python3 - <<'PYEOF'
 import json
-with open("build/bench-fresh/BENCH_contention.json") as f:
-    doc = json.load(f)
-doc["results"][0]["measured_c_address"] += 0.5
-with open("build/bench-fresh/BENCH_contention_doctored.json", "w") as f:
-    json.dump(doc, f)
+def doctor(name, edit):
+    with open("build/bench-fresh/BENCH.json") as f:
+        doc = json.load(f)
+    edit([r for r in doc["results"] if "contention" in r])
+    with open(f"build/bench-fresh/BENCH_doctored_{name}.json", "w") as f:
+        json.dump(doc, f)
+def drift(explained):
+    explained[0]["contention"]["measured_c_address"] += 0.5
+doctor("intent", drift)
+doctor("coverage", lambda explained: explained[1].pop("contention"))
 PYEOF
-  if scripts/bench_gate \
-       --contend build/bench-fresh/BENCH_contention_doctored.json \
-       > build/bench-fresh/contend_doctored.log 2>&1; then
-    echo "bench lane FAILED: doctored contention cell did not trip --contend"
-    cat build/bench-fresh/contend_doctored.log
-    exit 1
-  fi
+  expect_gate_failure build/bench-fresh/gate_doctored_intent.log \
+    "generator intent" build/bench-fresh/BENCH_doctored_intent.json \
+    --baseline build/bench-fresh/BENCH.json
   echo "contend negative control OK: doctored measured_c tripped the gate"
-  # Negative control: the +20% injection must trip the gate. Gate the
-  # injected run against the same-session fresh run (not the committed
-  # baseline) so this check is insulated from host-to-host drift.
+  expect_gate_failure build/bench-fresh/gate_doctored_coverage.log \
+    "coverage" build/bench-fresh/BENCH_doctored_coverage.json \
+    --baseline build/bench-fresh/BENCH.json
+  echo "coverage negative control OK: missing contention tripped the gate"
+  # The +20% injection must trip the exec aggregate. Gate the injected run
+  # against the same-session fresh run (not the committed baseline) so
+  # this check is insulated from host-to-host drift.
   run_bench build/bench-inject TXCONC_BENCH_INJECT_SLOWDOWN_PCT=20
-  if scripts/bench_gate --exec build/bench-inject/BENCH_exec.json \
-       --obs build/bench-inject/BENCH_obs.json \
-       --baseline-exec build/bench-fresh/BENCH_exec.json \
-       > build/bench-inject/gate.log 2>&1; then
-    echo "bench lane FAILED: injected +20% slowdown did not trip the gate"
-    cat build/bench-inject/gate.log
-    exit 1
-  fi
+  expect_gate_failure build/bench-inject/gate.log "exec aggregate" \
+    build/bench-inject/BENCH.json --baseline build/bench-fresh/BENCH.json
   echo "bench negative control OK: injected slowdown tripped the gate"
 fi
 
@@ -292,10 +306,10 @@ fi
 # automatically cut to <=3 for cells of 10k+ txs). A coverage check then
 # requires a 10k-tx row for every (engine, threads) pair the base block
 # ran, so no registry engine can be silently skipped at the large size.
-# The gate then checks the large cells against the committed baselines
-# AND the attainment floor: >= 2 parallel engines must beat sequential
-# wall clock at >= 4 threads on >= 1000-tx blocks on multicore hosts, or
-# hold wall_speedup >= 0.9 on hosts with < 4 cores.
+# The gate then checks the whole file, large cells included, against the
+# committed baseline AND the attainment floor: >= 2 parallel engines must
+# beat sequential wall clock at >= 4 threads on >= 1000-tx blocks on
+# multicore hosts, or hold wall_speedup >= 0.9 on hosts with < 4 cores.
 if lane_enabled bench-large; then
   echo "== lane: bench-large =="
   if [ ! -x build/bench/ablation_engines ]; then
@@ -307,7 +321,7 @@ if lane_enabled bench-large; then
   (cd build/bench-large && env TXCONC_BENCH_LARGE=1 \
     TXCONC_BENCH_FAST="${TXCONC_BENCH_FAST:-1}" \
     "${BENCH_BIN}" --benchmark_filter='^$' > bench.log 2>&1)
-  python3 - build/bench-large/BENCH_exec.json <<'PYEOF'
+  python3 - build/bench-large/BENCH.json <<'PYEOF'
 import json, sys
 rows = json.load(open(sys.argv[1]))["results"]
 def grid(size):
@@ -317,8 +331,6 @@ missing = grid(min(r["block_txs"] for r in rows)) - grid(10000)
 if missing:
     sys.exit(f"bench-large FAILED: no 10k-tx row for {sorted(missing)}")
 PYEOF
-  scripts/bench_gate --exec build/bench-large/BENCH_exec.json \
-    --profile build/bench-large/BENCH_profile.json \
-    --contend build/bench-large/BENCH_contention.json
+  scripts/bench_gate build/bench-large/BENCH.json
   echo "bench-large gate OK (10k-tx cells within tolerances + attainment)"
 fi

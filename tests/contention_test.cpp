@@ -345,7 +345,7 @@ TEST_F(SyntheticBlock, UnsoundClosureDropsRecallBelowOne) {
   }
   const obs::BlockContention block = observer.finish_block(receipts_);
   EXPECT_DOUBLE_EQ(block.recall, 2.0 / 3.0);
-  EXPECT_LT(block.recall, 1.0);  // what bench_gate --contend trips on
+  EXPECT_LT(block.recall, 1.0);  // what bench_gate trips on
 }
 
 TEST_F(SyntheticBlock, BalanceSentinelMapsToBalanceChannel) {
