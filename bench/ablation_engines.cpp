@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <span>
 #include <sstream>
 #include <string>
@@ -26,8 +25,8 @@
 #include "core/components.h"
 #include "core/scheduling.h"
 #include "core/speedup_model.h"
+#include "exec/contention_probe.h"
 #include "exec/executor.h"
-#include "exec/predict.h"
 #include "obs/contention.h"
 #include "obs/critpath.h"
 #include "obs/scope.h"
@@ -400,30 +399,26 @@ core::ConflictStats generator_intent(const Cell& cell) {
 // sketch's overhead is its median over the row's un-instrumented median.
 void explain_contention(Row& row, exec::BlockExecutor& executor,
                         const Cell& cell, int warmup) {
-  obs::ContentionObserver observer;
+  exec::ContentionProbe probe;
   obs::Scope scope;
-  scope.contention = &observer.sink();
+  scope.contention = probe.sink();
   account::RuntimeConfig instrumented = replay_config();
-  instrumented.recorder = &observer;
+  instrumented.recorder = probe.recorder();
   instrumented.obs = &scope;
   row.contention_wall =
       bench::measure_reps(row.reps, warmup, [&] {
         account::StateDb db = *cell.genesis;
-        observer.begin_block(cell.block);
-        for (std::size_t i = 0; i < cell.block.size(); ++i) {
-          const std::vector<Address> closure =
-              exec::predicted_addresses(cell.block[i], db);
-          observer.set_predicted(i, closure);
-        }
+        probe.clear();
+        probe.before_block(cell.block, db);
         const exec::ExecutionReport report =
             executor.execute_block(db, cell.block, instrumented);
-        row.contention = observer.finish_block(report.receipts);
-        row.contention.engine_abort_totals = report.abort_reasons;
+        probe.after_block(report);
         // wall_seconds covers execute_block only: the closure walk and
-        // the cold finish_block analysis stay untimed, so the overhead
+        // the cold post-block analysis stay untimed, so the overhead
         // isolates the in-execution sketch feeding.
         return report.wall_seconds;
       }).median_seconds;
+  row.contention = probe.blocks().back();
   row.sketch_overhead = row.wall.median_seconds > 0.0
                             ? row.contention_wall / row.wall.median_seconds
                             : 0.0;
@@ -465,17 +460,12 @@ bool profile_cell(Row& row, const exec::ExecutorSpec& spec, const Cell& cell) {
     row.profile_error = result.ok ? "no execute_block profiled" : result.error;
   } else {
     row.profile = result.blocks.back();  // the measured (warm) run
-    // The 2% sum invariant is a large-block contract: per-block fixed
-    // costs (report assembly, metric flushes) do not amortize over 124
-    // txs (DESIGN.md §13.2), so the small cells get a loosened epsilon.
-    // scripts/bench_gate applies the same split.
-    const double eps = cell.block_txs >= 1000 ? 0.02 : 0.05;
-    violation = obs::check_attribution(row.profile, eps);
+    violation = obs::check_attribution(row.profile);
   }
   tracer.clear();  // keep the profile cells out of any exported trace
   if (row.profile_error.empty() && violation.empty()) return true;
   // Leave the evidence behind: the raw trace of a failing cell, ready for
-  // `txconc_profile <file>` / Perfetto.
+  // `txconc_explain <file>` / Perfetto.
   const std::string dump = "profile_" + row.executor + "_t" +
                            std::to_string(row.threads) + "_x" +
                            std::to_string(cell.block_txs) + ".trace.json";
@@ -685,46 +675,6 @@ TracerLadder measure_tracer_overhead(const Cell& base) {
   return ladder;
 }
 
-void write_contention_json(std::ostream& out, const Row& row) {
-  const obs::BlockContention& c = row.contention;
-  std::uint64_t engine_total = 0;
-  std::uint64_t sink_total = 0;
-  for (std::size_t r = 0; r < obs::kNumAbortReasons; ++r) {
-    engine_total += c.engine_abort_totals[r];
-    sink_total += c.sink_abort_totals[r];
-  }
-  out << "{\"measured_c\": " << c.measured_c
-      << ", \"measured_l\": " << c.measured_l
-      << ", \"measured_c_address\": " << c.measured_c_address
-      << ", \"measured_l_address\": " << c.measured_l_address
-      << ",\n       \"intent_c\": " << row.intent_c
-      << ", \"intent_l\": " << row.intent_l
-      << ", \"precision\": " << c.precision << ", \"recall\": " << c.recall
-      << ", \"over_approx\": " << c.over_approx
-      << ",\n       \"total_touches\": " << c.total_touches
-      << ", \"engine_abort_total\": " << engine_total
-      << ", \"sink_abort_total\": " << sink_total << ", \"aborts\": {";
-  bool first_reason = true;
-  for (std::size_t r = 0; r < obs::kNumAbortReasons; ++r) {
-    if (c.engine_abort_totals[r] == 0) continue;
-    out << (first_reason ? "" : ", ") << "\""
-        << obs::abort_reason_name(static_cast<obs::AbortReason>(r))
-        << "\": " << c.engine_abort_totals[r];
-    first_reason = false;
-  }
-  out << "},\n       \"hot_keys\": [";
-  const std::size_t top = std::min<std::size_t>(5, c.hot_keys.size());
-  for (std::size_t k = 0; k < top; ++k) {
-    const obs::HotKey& key = c.hot_keys[k];
-    out << (k > 0 ? ", " : "") << "{\"addr\": \"" << key.key.addr.short_hex()
-        << "\", \"channel\": \"" << obs::touch_channel_name(key.key.channel)
-        << "\", \"slot\": " << key.key.slot << ", \"count\": " << key.count
-        << ", \"error\": " << key.error << "}";
-  }
-  out << "],\n       \"wall_seconds\": " << row.contention_wall
-      << ", \"sketch_overhead\": " << row.sketch_overhead << "}";
-}
-
 void write_bench_json(const std::string& profile_name,
                       const std::vector<Cell>& cells,
                       const std::vector<Row>& rows,
@@ -774,8 +724,12 @@ void write_bench_json(const std::string& profile_name,
         out << ",\n     \"profile\": ";
         obs::write_profile_json(out, row.profile);
       }
-      out << ",\n     \"contention\": ";
-      write_contention_json(out, row);
+      out << ",\n     \"intent_c\": " << row.intent_c
+          << ", \"intent_l\": " << row.intent_l
+          << ", \"contention_wall_seconds\": " << row.contention_wall
+          << ", \"sketch_overhead\": " << row.sketch_overhead
+          << ",\n     \"contention\": ";
+      obs::write_json(out, row.contention, 5);
     }
     out << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -809,103 +763,6 @@ void write_bench() {
   print_phase_breakdown(rows, 1000);
   write_bench_json(fixture.profile.name, cells, rows,
                    measure_tracer_overhead(cells.front()));
-}
-// ------------------------------------------------------ TXCONC_TRACE smoke
-
-// Run one block through every registered executor with the tracer live,
-// export the Chrome trace to `path`, then re-parse and validate it:
-// balanced spans, monotone timestamps, and the four canonical phase spans
-// (predict/schedule/execute/commit) present for every parallel engine.
-// Returns false (after printing why) on any failure.
-bool run_traced_executions(const std::string& path) {
-  static const ExecFixture fixture;
-  // The replay config's synthetic work keeps per-tx tracer overhead a
-  // sliver of the budget; the profiler's sum invariant is checked below.
-  account::RuntimeConfig config = replay_config();
-  config.obs = &obs::global_scope();
-
-  obs::Tracer& tracer = obs::Tracer::global();
-  tracer.clear();
-  tracer.enable();
-  for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
-    const auto executor = spec.make(spec.parallel ? 4 : 1);
-    // Two traced runs per engine (DESIGN.md §16 warm protocol): the first
-    // pays worker buffer registration; the profiler checks the second.
-    for (int run = 0; run < 2; ++run) {
-      account::StateDb db = fixture.genesis;
-      executor->execute_block(db, fixture.block, config);
-    }
-  }
-  tracer.disable();
-
-  if (!tracer.write_chrome_trace_file(path)) {
-    std::cerr << "trace FAILED: cannot write " << path << "\n";
-    return false;
-  }
-  if (tracer.dropped() > 0) {
-    std::cerr << "trace FAILED: " << tracer.dropped()
-              << " events dropped (ring wrapped)\n";
-    return false;
-  }
-
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const obs::TraceValidation validation =
-      obs::validate_chrome_trace(buffer.str());
-  if (!validation.ok) {
-    std::cerr << "trace FAILED: " << validation.error << "\n";
-    return false;
-  }
-  for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
-    if (!spec.parallel) continue;
-    const auto it = validation.spans_by_process.find(spec.name);
-    if (it == validation.spans_by_process.end()) {
-      std::cerr << "trace FAILED: no spans recorded for executor "
-                << spec.name << "\n";
-      return false;
-    }
-    for (const char* phase : {"predict", "schedule", "execute", "commit"}) {
-      if (!it->second.contains(phase)) {
-        std::cerr << "trace FAILED: executor " << spec.name
-                  << " is missing the '" << phase << "' span\n";
-        return false;
-      }
-    }
-  }
-  std::cout << "trace OK (" << validation.events << " events, "
-            << validation.complete_spans << " spans) -> " << path << "\n";
-
-  // Profile smoke: the same trace must be analyzable, and the warm (last)
-  // block of every engine must satisfy the attribution sum invariant.
-  const obs::ProfileResult profiled = obs::profile_chrome_trace(buffer.str());
-  if (!profiled.ok) {
-    std::cerr << "profile FAILED: " << profiled.error << "\n";
-    return false;
-  }
-  std::map<std::string, const obs::BlockProfile*> warm;
-  for (const obs::BlockProfile& block : profiled.blocks) {
-    warm[block.process] = &block;  // file order: last run wins
-  }
-  for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
-    const auto it = warm.find(spec.name);
-    if (it == warm.end()) {
-      std::cerr << "profile FAILED: no execute_block profiled for executor "
-                << spec.name << "\n";
-      return false;
-    }
-    // Small-block epsilon (see profile_cell): fixed costs
-    // do not amortize over the 124-tx fixture block.
-    const std::string violation =
-        obs::check_attribution(*it->second, /*eps_fraction=*/0.05);
-    if (!violation.empty()) {
-      std::cerr << "profile FAILED: " << violation << "\n";
-      return false;
-    }
-  }
-  std::cout << "profile OK (" << warm.size() << " engines, attribution sum "
-            << "within 5% of threads x wall)\n";
-  return true;
 }
 
 }  // namespace
@@ -941,10 +798,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   write_bench();
-  // TXCONC_TRACE=<file>: re-run every engine traced and self-validate the
-  // exported Chrome trace (the tier-1 obs smoke drives this path).
-  if (const char* trace_path = std::getenv("TXCONC_TRACE")) {
-    if (!run_traced_executions(trace_path)) return 1;
-  }
   return 0;
 }

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # CI entry point. Lanes (select with TXCONC_CI_LANES, comma-separated;
 # default runs all):
-#  * tier1 — configure, build (-Wall -Wextra -Wshadow -Werror), ctest,
-#    then an observability smoke: a traced fast-mode ablation_engines
-#    run (from build/obs-smoke/) must emit a valid, non-empty Chrome
-#    trace AND the critpath profiler's attribution sum invariant must
-#    hold for every engine ("profile OK");
+#  * tier1 — configure, build (-Wall -Wextra -Wshadow -Werror), ctest
+#    (critpath_test's registry round-trip is the observability smoke:
+#    every engine traced into a valid Chrome trace file whose profile
+#    satisfies the attribution sum invariant);
 #  * asan  — ASan/UBSan on exec_test + conformance_test + audit_test:
 #    memory errors and UB under the thread pool's chunked parallel_for;
-#    txconc_profile then analyzes the traced exec_test run, driving the
-#    trace parser and span-DAG analyzer over sanitizer-instrumented code;
+#    txconc_explain then analyzes a traced parallel_executor run, driving
+#    the trace parser and span-DAG analyzer over sanitizer-instrumented
+#    code;
 #  * tsan  — TSan on the same binaries: data races, with the conformance
 #    schedule perturber widening the interleavings each seed explores;
 #  * tsa   — Clang Thread Safety Analysis: recompiles every library with
@@ -79,21 +79,6 @@ if lane_enabled tier1; then
   cmake -B build -S . -DTXCONC_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
   cmake --build build -j"${JOBS}"
   ctest --test-dir build --output-on-failure -j"${JOBS}"
-  # Observability smoke: a traced bench run must produce a non-empty
-  # Chrome trace whose spans the bench's built-in validator accepts
-  # ("trace OK ...") and whose critpath profile satisfies the
-  # attribution sum invariant for every registry engine ("profile OK";
-  # see run_traced_executions in bench/ablation_engines.cpp). Fast mode
-  # and a scratch CWD: only the trace is checked, and the run's BENCH.json
-  # stays out of the repo root.
-  mkdir -p build/obs-smoke
-  (cd build/obs-smoke && TXCONC_BENCH_FAST=1 \
-    TXCONC_TRACE=obs_smoke_trace.json \
-    ../bench/ablation_engines --benchmark_filter='^$' > obs_smoke.log 2>&1)
-  grep -q "trace OK" build/obs-smoke/obs_smoke.log
-  grep -q "profile OK" build/obs-smoke/obs_smoke.log
-  test -s build/obs-smoke/obs_smoke_trace.json
-  echo "obs smoke OK: build/obs-smoke/obs_smoke_trace.json"
 fi
 
 # --- ASan/UBSan over the execution layer -----------------------------------
@@ -106,7 +91,7 @@ if lane_enabled asan; then
     --target exec_test --target conformance_test --target audit_test \
     --target obs_test --target trace_propagation_test --target hotpath_test \
     --target block_stm_test --target critpath_test --target contention_test \
-    --target parallel_executor --target txconc_profile
+    --target parallel_executor --target txconc_explain
   # Leak checking needs ptrace, which container CI runners often deny; the
   # races/UB we are after are caught without it.
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/obs_test
@@ -124,19 +109,19 @@ if lane_enabled asan; then
   ASAN_OPTIONS=detect_leaks=0 TXCONC_CONFORMANCE_FAST=1 \
     ./build-asan/tests/audit_test
   # Drive the trace parser and critpath analyzer over sanitizer-built code:
-  # the example's traced multi-engine run feeds the asan txconc_profile.
-  # Thresholds are fully loosened — the strict attribution contract is
-  # gated in the bench lane against warm 2-run traces; here a cold single
-  # run per engine would flake on eps. Exit 2 (unanalyzable trace) still
-  # fails the lane, so parse/repair regressions are caught.
+  # the example's traced multi-engine run feeds txconc_explain's trace
+  # mode. Thresholds are fully loosened — the strict attribution contract
+  # is gated in the bench lane against warm 2-run traces; here a cold
+  # single run per engine would flake on eps. Exit 2 (unanalyzable trace)
+  # still fails the lane, so parse/repair regressions are caught.
   ASAN_OPTIONS=detect_leaks=0 \
     ./build-asan/examples/parallel_executor --trace=build-asan/example_trace.json \
     > build-asan/example.log 2>&1
   ASAN_OPTIONS=detect_leaks=0 \
-    ./build-asan/tools/txconc_profile/txconc_profile \
+    ./build-asan/tools/txconc_explain/txconc_explain \
     --eps=1.0 --untracked-max=1.0 build-asan/example_trace.json \
-    > build-asan/profile.log 2>&1
-  echo "asan txconc_profile OK: build-asan/example_trace.json analyzed"
+    > build-asan/explain.log 2>&1
+  echo "asan txconc_explain OK: build-asan/example_trace.json analyzed"
 fi
 
 # --- TSan lane: races under perturbed schedules ----------------------------

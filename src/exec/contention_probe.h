@@ -5,7 +5,7 @@
 // closures cross the layer boundary as data, keeping obs free of any exec
 // dependency.
 //
-// Wiring (see tools/txconc_contend for the full example):
+// Wiring (see tools/txconc_explain for the full example):
 //   ContentionProbe probe;
 //   replayer.set_block_observer(&probe);
 //   replayer.set_access_recorder(probe.recorder());
@@ -33,10 +33,6 @@ class ContentionProbe final : public BlockObserver {
   /// Point obs::Scope::contention here so engines can attribute aborts.
   obs::ContentionSink* sink() { return &observer_.sink(); }
 
-  /// Skip the per-transaction closure walk (prediction-quality metrics
-  /// come out as "no prediction"); on by default.
-  void set_predict(bool on) { predict_ = on; }
-
   // BlockObserver: bracket one executed block.
   void before_block(std::span<const account::AccountTx> txs,
                     const account::StateDb& state) override;
@@ -50,7 +46,6 @@ class ContentionProbe final : public BlockObserver {
 
  private:
   obs::ContentionObserver observer_;
-  bool predict_ = true;
   std::vector<Address> closure_;  // per-tx scratch
   std::vector<obs::BlockContention> blocks_;
 };

@@ -119,7 +119,7 @@ std::unique_ptr<BlockExecutor> make_group_executor(unsigned num_threads,
                                                    bool use_lpt = true);
 
 /// A named executor family: a stable identifier (used in conformance repro
-/// commands and BENCH_exec.json) plus a factory over the thread count.
+/// commands and BENCH.json rows) plus a factory over the thread count.
 /// Sequential ignores the thread count and is flagged non-parallel.
 struct ExecutorSpec {
   std::string name;

@@ -25,15 +25,18 @@ class SequentialExecutor final : public BlockExecutor {
     ExecutionReport report;
     report.executor = name();
     report.num_txs = transactions.size();
-    report.receipts.resize(transactions.size());
     {
       // The apply loop is the serial phase; there is no concurrent phase,
       // so phase1 stays zero instead of absorbing setup/reporting time
       // (the pre-obs code reported the whole wall as phase2, which made
-      // sequential-vs-parallel phase breakdowns incomparable).
-      const auto apply_start = std::chrono::steady_clock::now();
+      // sequential-vs-parallel phase breakdowns incomparable). The
+      // receipts allocation and the report tail sit inside the execute
+      // and commit spans: outside them they would be caller self time,
+      // which the profiler books as `uncovered`.
       const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
                                  obs::names::kCatExec, block_span.context());
+      report.receipts.resize(transactions.size());
+      const auto apply_start = std::chrono::steady_clock::now();
       for (std::size_t i = 0; i < transactions.size(); ++i) {
         const TXCONC_SPAN_T(tracer, obs::names::kSpanTx,
                             obs::names::kCatExec,
@@ -52,14 +55,13 @@ class SequentialExecutor final : public BlockExecutor {
       const obs::CausalSpan span(tracer, obs::names::kSpanCommit,
                                  obs::names::kCatExec, block_span.context());
       state.flush_journal();
+      report.sequential_txs = transactions.size();
+      report.executions = transactions.size();
+      report.simulated_units = static_cast<double>(transactions.size());
+      report.simulated_speedup = 1.0;
+      report.wall_seconds = trace.finish(report.sched);
+      record_block_metrics(obs::metrics(config.obs), report);
     }
-
-    report.sequential_txs = transactions.size();
-    report.executions = transactions.size();
-    report.simulated_units = static_cast<double>(transactions.size());
-    report.simulated_speedup = 1.0;
-    report.wall_seconds = trace.finish(report.sched);
-    record_block_metrics(obs::metrics(config.obs), report);
     return report;
   }
 

@@ -36,8 +36,6 @@
 
 namespace txconc::obs {
 
-class Registry;
-
 // ------------------------------------------------------------ taxonomy
 
 /// Why an execution attempt's work was discarded, uniform across engines.
@@ -289,7 +287,7 @@ struct BlockContention {
   /// Measured conflicts at address granularity (the paper's TDG over
   /// sender/receiver/internal-tx edges) — directly comparable to the
   /// workload generator's calibrated intent via
-  /// analysis::analyze_account_block (the bench_gate --contend check).
+  /// analysis::analyze_account_block (scripts/bench_gate check 15).
   double measured_c_address = 0.0;
   double measured_l_address = 0.0;
 
@@ -355,18 +353,12 @@ class ContentionObserver final : public account::AccessRecorder {
 
 // ---------------------------------------------------------- rendering
 
-/// Human-readable report (txconc_contend default, parallel_executor
-/// --contend).
+/// Human-readable report (txconc_explain's text output).
 void write_text(std::ostream& out, const BlockContention& block,
                 std::size_t top_k = 10);
-/// Machine-readable report (txconc_contend --format=json; the bench
-/// artifact embeds the same shape per cell).
+/// Machine-readable report: the `contention` object of txconc_explain
+/// --format=json and of BENCH.json's explained rows.
 void write_json(std::ostream& out, const BlockContention& block,
                 std::size_t top_k = 10);
-
-/// Fold one block's contention summary into the metrics registry
-/// (exec.contention.* gauges/histograms; null-safe).
-void record_contention_metrics(Registry* registry,
-                               const BlockContention& block);
 
 }  // namespace txconc::obs

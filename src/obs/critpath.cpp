@@ -511,7 +511,10 @@ ProfileResult profile_chrome_trace(const std::string& json,
 }
 
 std::string check_attribution(const BlockProfile& profile,
-                              double eps_fraction, double untracked_max) {
+                              std::optional<double> eps_override,
+                              double untracked_max) {
+  const double eps_fraction =
+      eps_override.value_or(profile.num_txs >= 1000 ? 0.02 : 0.05);
   if (profile.budget_us <= 0.0) {
     return "block '" + profile.process + "' has a non-positive budget";
   }

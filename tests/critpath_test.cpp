@@ -1,10 +1,14 @@
 // Critical-path profiler tests: hand-computed attribution over a
 // synthetic 3-tx trace, gate negative controls (dropped commit span,
-// untracked-heavy trace), unclosed-span repair, and a live round-trip of
-// every registry engine through the global tracer (DESIGN.md §16 warm
-// protocol).
+// untracked-heavy trace), the block-size epsilon rule, unclosed-span
+// repair, and a live round-trip of every registry engine through the
+// global tracer and a trace file (DESIGN.md §16 warm protocol).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -152,7 +156,7 @@ TEST(CritPath, SyntheticThreeTxAttributionHandComputed) {
 TEST(CritPath, DroppedCommitSpanFailsTheGate) {
   // Negative control for the sum invariant: strip the 100us commit span
   // (5% of the budget) and the buckets no longer reach the budget within
-  // the default 2% epsilon — the missing time surfaces as uncovered.
+  // the large-block 2% epsilon — the missing time surfaces as uncovered.
   const ProfileResult result = profile_chrome_trace(
       make_trace(three_tx_events(/*with_commit=*/false)));
   ASSERT_TRUE(result.ok) << result.error;
@@ -160,11 +164,29 @@ TEST(CritPath, DroppedCommitSpanFailsTheGate) {
   EXPECT_DOUBLE_EQ(bucket(p, Bucket::kCommit), 0.0);
   EXPECT_DOUBLE_EQ(p.bucket_sum_us, 1900.0);
   EXPECT_DOUBLE_EQ(p.uncovered_us, 100.0);
-  const std::string violation = check_attribution(p);
+  const std::string violation = check_attribution(p, /*eps_fraction=*/0.02);
   ASSERT_FALSE(violation.empty());
   EXPECT_NE(violation.find("differs"), std::string::npos) << violation;
   // A loose epsilon accepts the same profile.
   EXPECT_TRUE(check_attribution(p, /*eps_fraction=*/0.10).empty());
+}
+
+TEST(CritPath, DefaultEpsilonFollowsBlockSize) {
+  // 3 % of the budget uncovered: within the 5 % small-block tolerance,
+  // outside the 2 % one that applies once a block reaches 1000 txs.
+  BlockProfile p;
+  p.process = "synthetic";
+  p.budget_us = 1000.0;
+  p.bucket_sum_us = 970.0;
+  p.uncovered_us = 30.0;
+  p.num_txs = 999;
+  EXPECT_TRUE(check_attribution(p).empty());
+  p.num_txs = 1000;
+  const std::string violation = check_attribution(p);
+  ASSERT_FALSE(violation.empty());
+  EXPECT_NE(violation.find("limit 2.0%"), std::string::npos) << violation;
+  // An explicit epsilon overrides the rule.
+  EXPECT_TRUE(check_attribution(p, /*eps_fraction=*/0.05).empty());
 }
 
 TEST(CritPath, UnclosedPoolTaskIsRepairedNotDoubleCounted) {
@@ -240,10 +262,12 @@ TEST(CritPath, UnbalancedEndEventIsAParseError) {
 
 // ------------------------------------------- registry engine round-trip
 // Every registered engine executes a real late-era block twice through
-// the GLOBAL tracer (pool workers hardwire Tracer::global()); the warm
-// (second) block of every engine must profile cleanly and satisfy the
-// attribution sum invariant. This is the end-to-end proof that every
-// emitter in the tree stays inside the profiler's taxonomy.
+// the GLOBAL tracer (pool workers hardwire Tracer::global()), and the
+// trace round-trips through a Chrome trace file. The file must validate
+// with every parallel engine's predict/schedule/execute/commit spans,
+// and the warm (second) block of every engine must profile cleanly and
+// satisfy the attribution sum invariant. This is the end-to-end proof
+// that every emitter in the tree stays inside the profiler's taxonomy.
 TEST(CritPath, RegistryEnginesRoundTripThroughGlobalTracer) {
   workload::ChainProfile chain = workload::ethereum_profile();
   workload::AccountWorkloadGenerator gen(chain, 42, 400);
@@ -260,7 +284,7 @@ TEST(CritPath, RegistryEnginesRoundTripThroughGlobalTracer) {
   config.charge_fees = false;
   config.enforce_nonce = false;
   // Heavy transactions keep per-span tracer overhead a sliver of the
-  // budget, same as the bench smoke.
+  // budget, as in the bench's explained cells.
   config.synthetic_work = 10000;
   config.obs = &obs::global_scope();
 
@@ -281,9 +305,30 @@ TEST(CritPath, RegistryEnginesRoundTripThroughGlobalTracer) {
   tracer.disable();
   ASSERT_EQ(tracer.dropped(), 0u);
 
-  std::ostringstream trace_json;
-  tracer.write_chrome_trace(trace_json);
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("critpath_round_trip_" + std::to_string(::getpid()) + ".trace.json");
+  ASSERT_TRUE(tracer.write_chrome_trace_file(path.string()));
   tracer.clear();
+  std::ostringstream trace_json;
+  trace_json << std::ifstream(path).rdbuf();
+  std::remove(path.string().c_str());
+  ASSERT_FALSE(trace_json.str().empty());
+
+  const TraceValidation validation = validate_chrome_trace(trace_json.str());
+  ASSERT_TRUE(validation.ok) << validation.error;
+  for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
+    if (!spec.parallel) continue;
+    const auto it = validation.spans_by_process.find(spec.name);
+    ASSERT_NE(it, validation.spans_by_process.end())
+        << "no spans recorded for " << spec.name;
+    for (const char* phase :
+         {names::kSpanPredict, names::kSpanSchedule, names::kSpanExecute,
+          names::kSpanCommit}) {
+      EXPECT_TRUE(it->second.contains(phase))
+          << spec.name << " is missing the '" << phase << "' span";
+    }
+  }
 
   const ProfileResult result = profile_chrome_trace(trace_json.str());
   ASSERT_TRUE(result.ok) << result.error;
@@ -297,10 +342,7 @@ TEST(CritPath, RegistryEnginesRoundTripThroughGlobalTracer) {
     const BlockProfile& p = *it->second;
     EXPECT_EQ(p.num_txs, block.size()) << spec.name;
     EXPECT_EQ(p.threads, spec.parallel ? 5u : 1u) << spec.name;
-    // Small block: per-block fixed costs do not amortize, so the smoke
-    // epsilon (5%) applies rather than the bench's 2% at >= 1000 txs.
-    const std::string violation =
-        check_attribution(p, /*eps_fraction=*/0.05);
+    const std::string violation = check_attribution(p);
     EXPECT_TRUE(violation.empty()) << spec.name << ": " << violation;
   }
 
