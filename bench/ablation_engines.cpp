@@ -1,9 +1,6 @@
-// Google-benchmark micro-ablations for the design choices DESIGN.md calls
-// out (BFS vs union-find components, conflict-detection granularity,
-// scheduling policy, substrate throughputs), followed by the engine grid
-// that writes BENCH.json: every registry executor x threads x block size.
-#include <benchmark/benchmark.h>
-
+// The engine grid that writes BENCH.json: every registry executor x
+// threads x block size, with the critpath attribution and the contention
+// explainer on the explained cells (see the emitter section below).
 #include <algorithm>
 #include <charconv>
 #include <cstdlib>
@@ -17,13 +14,8 @@
 
 #include "analysis/block_analyzer.h"
 #include "analysis/report.h"
-#include "account/contracts.h"
 #include "account/runtime.h"
 #include "bench_util.h"
-#include "common/rng.h"
-#include "common/sha256.h"
-#include "core/components.h"
-#include "core/scheduling.h"
 #include "core/speedup_model.h"
 #include "exec/contention_probe.h"
 #include "exec/executor.h"
@@ -33,7 +25,6 @@
 #include "obs/trace.h"
 #include "workload/account_workload.h"
 #include "workload/profiles.h"
-#include "workload/utxo_workload.h"
 
 namespace {
 
@@ -84,159 +75,12 @@ std::vector<std::size_t> large_block_sizes() {
 }
 
 // TXCONC_BENCH_INJECT_SLOWDOWN_PCT=<pct>: negative-control hook for
-// scripts/bench_gate — inflates the measured wall times so CI can assert
-// the gate actually fires. Applied only to non-sequential rows: sequential
-// is the speedup denominator, so slowing every row equally would cancel
-// out of the gated ratios.
-double injected_slowdown_factor() {
-  const char* pct = std::getenv("TXCONC_BENCH_INJECT_SLOWDOWN_PCT");
-  if (pct == nullptr) return 1.0;
-  return 1.0 + std::atof(pct) / 100.0;
-}
-
-// ---------------------------------------------------------- graph algorithms
-
-core::Tdg random_graph(std::size_t nodes, std::size_t edges,
-                       std::uint64_t seed) {
-  Rng rng(seed);
-  core::Tdg g(nodes);
-  for (std::size_t i = 0; i < edges; ++i) {
-    g.add_edge(static_cast<core::NodeId>(rng.uniform(nodes)),
-               static_cast<core::NodeId>(rng.uniform(nodes)));
-  }
-  return g;
-}
-
-void BM_ComponentsBfs(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const core::Tdg g = random_graph(n, n / 2, 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::connected_components_bfs(g));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ComponentsBfs)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_ComponentsDsu(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const core::Tdg g = random_graph(n, n / 2, 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::connected_components_dsu(g));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ComponentsDsu)->Arg(100)->Arg(1000)->Arg(10000);
-
-// -------------------------------------------------------------- scheduling
-
-void BM_ScheduleLpt(benchmark::State& state) {
-  Rng rng(7);
-  std::vector<double> jobs(static_cast<std::size_t>(state.range(0)));
-  for (double& j : jobs) j = 1.0 + static_cast<double>(rng.uniform(50));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::schedule_lpt(jobs, 8));
-  }
-}
-BENCHMARK(BM_ScheduleLpt)->Arg(100)->Arg(10000);
-
-void BM_ScheduleList(benchmark::State& state) {
-  Rng rng(7);
-  std::vector<double> jobs(static_cast<std::size_t>(state.range(0)));
-  for (double& j : jobs) j = 1.0 + static_cast<double>(rng.uniform(50));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::schedule_list(jobs, 8));
-  }
-}
-BENCHMARK(BM_ScheduleList)->Arg(100)->Arg(10000);
-
-// -------------------------------------------------------------- substrates
-
-void BM_Sha256(benchmark::State& state) {
-  const Bytes data(static_cast<std::size_t>(state.range(0)), 0x5a);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256::hash(data));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
-
-void BM_VmTokenTransfer(benchmark::State& state) {
-  account::StateDb db;
-  const Address owner = Address::from_seed(1);
-  const Address token = Address::from_seed(50);
-  const Address sender = Address::from_seed(2);
-  const Address recipient = Address::from_seed(3);
-  account::genesis_deploy(db, token, account::contracts::token(owner));
-  db.set_balance(sender, ~std::uint64_t{0} / 2);
-  db.set_storage(token, sender.low64(), ~std::uint64_t{0} / 2);
-  db.flush_journal();
-
-  account::RuntimeConfig config;
-  std::uint64_t nonce = 0;
-  for (auto _ : state) {
-    account::AccountTx tx;
-    tx.from = sender;
-    tx.to = token;
-    tx.args = {1, 1};
-    tx.address_args = {recipient};
-    tx.gas_limit = 80000;
-    tx.nonce = nonce++;
-    benchmark::DoNotOptimize(account::apply_transaction(db, tx, config));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_VmTokenTransfer);
-
-void BM_UtxoBlockGeneration(benchmark::State& state) {
-  workload::ChainProfile profile = workload::bitcoin_cash_profile();
-  for (auto _ : state) {
-    state.PauseTiming();
-    workload::UtxoWorkloadGenerator gen(profile, 42, 30);
-    state.ResumeTiming();
-    std::size_t txs = 0;
-    for (int b = 0; b < 30; ++b) txs += gen.next_block().utxo_txs.size();
-    benchmark::DoNotOptimize(txs);
-  }
-}
-BENCHMARK(BM_UtxoBlockGeneration)->Unit(benchmark::kMillisecond);
-
-// --------------------------------------------- conflict-analysis granularity
-
-struct AnalysisFixture {
-  std::vector<account::AccountTx> txs;
-  std::vector<account::Receipt> receipts;
-
-  AnalysisFixture() {
-    workload::ChainProfile profile = workload::ethereum_profile();
-    workload::AccountWorkloadGenerator gen(profile, 42, 400);
-    for (int i = 0; i < 350; ++i) gen.next_block();
-    auto block = gen.next_block();
-    txs = std::move(block.account_txs);
-    receipts = std::move(block.receipts);
-  }
-};
-
-void BM_AnalyzeAddressGranularity(benchmark::State& state) {
-  static const AnalysisFixture fixture;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        analysis::analyze_account_block(fixture.txs, fixture.receipts));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fixture.txs.size()));
-}
-BENCHMARK(BM_AnalyzeAddressGranularity);
-
-void BM_AnalyzeSlotGranularity(benchmark::State& state) {
-  static const AnalysisFixture fixture;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        analysis::analyze_account_block_slots(fixture.txs, fixture.receipts));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fixture.txs.size()));
-}
-BENCHMARK(BM_AnalyzeSlotGranularity);
+// scripts/bench_gate — inflates the measured wall times by this factor so
+// CI can assert the gate actually fires. Applied only to non-sequential
+// rows: sequential is the speedup denominator, so slowing every row
+// equally would cancel out of the gated ratios. Parsed in main; a
+// malformed value is a usage error (exit 2), never a silent 0 %.
+double g_slowdown_factor = 1.0;
 
 // ------------------------------------------------------------ real executors
 
@@ -247,9 +91,9 @@ struct ExecFixture {
 
   ExecFixture() {
     workload::AccountWorkloadGenerator gen(profile, 42, 400);
-    // Skip to a busy late-era block (like AnalysisFixture): the early-era
-    // blocks carry a handful of transactions, far too few for engine
-    // scheduling costs or speedups to register.
+    // Skip to a busy late-era block: the early-era blocks carry a handful
+    // of transactions, far too few for engine scheduling costs or
+    // speedups to register.
     for (int i = 0; i < 350; ++i) gen.next_block();
     genesis = gen.state();
     block = gen.next_block().account_txs;
@@ -384,10 +228,8 @@ struct Row {
 core::ConflictStats generator_intent(const Cell& cell) {
   const auto sequential = exec::make_executor("sequential", 1);
   account::StateDb db = *cell.genesis;
-  account::RuntimeConfig tracked = replay_config();
-  tracked.track_accesses = true;
   const exec::ExecutionReport report =
-      sequential->execute_block(db, cell.block, tracked);
+      sequential->execute_block(db, cell.block, replay_config());
   return analysis::analyze_account_block(cell.block, report.receipts);
 }
 
@@ -510,7 +352,6 @@ Row measure_row(const exec::ExecutorSpec& spec, unsigned threads,
 // The engine x threads x block grid. Wall speedups divide by the
 // sequential row of the same block, which the registry lists first.
 std::vector<Row> run_cells(const std::vector<Cell>& cells) {
-  const double inject = injected_slowdown_factor();
   std::vector<Row> rows;
   std::size_t violations = 0;
   for (const Cell& cell : cells) {
@@ -538,8 +379,8 @@ std::vector<Row> run_cells(const std::vector<Cell>& cells) {
         // moves the exec ratios and nothing else.
         if (spec.name == "sequential") {
           sequential_wall = row.wall.median_seconds;
-        } else if (inject != 1.0) {
-          row.wall.median_seconds *= inject;
+        } else if (g_slowdown_factor != 1.0) {
+          row.wall.median_seconds *= g_slowdown_factor;
         }
         row.wall_speedup = row.wall.median_seconds > 0.0
                                ? sequential_wall / row.wall.median_seconds
@@ -656,9 +497,8 @@ TracerLadder measure_tracer_overhead(const Cell& base) {
   tracer.disable();
   tracer.clear();  // keep the overhead runs out of any exported trace
 
-  const double inject = injected_slowdown_factor();
-  ladder.disabled.median_seconds *= inject;
-  ladder.enabled.median_seconds *= inject;
+  ladder.disabled.median_seconds *= g_slowdown_factor;
+  ladder.enabled.median_seconds *= g_slowdown_factor;
 
   const double off = ladder.off.median_seconds;
   if (off > 0.0) {
@@ -768,35 +608,46 @@ void write_bench() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // TXCONC_TX_WORK seeds the knob; an explicit --tx-work=N wins. The flag
-  // is stripped before benchmark::Initialize, which rejects unknown args.
-  // A malformed value is a usage error (exit 2), never a silent 0.
+  // TXCONC_TX_WORK seeds the knob; an explicit --tx-work=N wins. Any
+  // other argument, and a malformed number in either knob or in
+  // TXCONC_BENCH_INJECT_SLOWDOWN_PCT, is a usage error (exit 2).
+  const auto usage = [](std::string_view what) {
+    std::cerr << "ablation_engines: " << what
+              << " (usage: ablation_engines [--tx-work=N]; env "
+                 "TXCONC_TX_WORK=N, TXCONC_BENCH_INJECT_SLOWDOWN_PCT=P)\n";
+    return 2;
+  };
   const auto parse_tx_work = [](std::string_view text) {
     const char* end = text.data() + text.size();
     const auto [ptr, ec] = std::from_chars(text.data(), end, g_tx_work);
-    if (ec == std::errc() && ptr == end) return true;
-    std::cerr << "ablation_engines: malformed tx work '" << text
-              << "' (usage: --tx-work=N or TXCONC_TX_WORK=N, N >= 0)\n";
-    return false;
+    return ec == std::errc() && ptr == end;
   };
   if (const char* env_work = std::getenv("TXCONC_TX_WORK")) {
-    if (!parse_tx_work(env_work)) return 2;
+    if (!parse_tx_work(env_work)) {
+      return usage("malformed tx work '" + std::string(env_work) + "'");
+    }
   }
-  int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     const std::string_view prefix = "--tx-work=";
-    if (arg.substr(0, prefix.size()) == prefix) {
-      if (!parse_tx_work(arg.substr(prefix.size()))) return 2;
-    } else {
-      argv[kept++] = argv[i];
+    if (arg.substr(0, prefix.size()) != prefix) {
+      return usage("unknown argument '" + std::string(arg) + "'");
+    }
+    if (!parse_tx_work(arg.substr(prefix.size()))) {
+      return usage("malformed tx work '" + std::string(arg) + "'");
     }
   }
-  argc = kept;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  if (const char* pct = std::getenv("TXCONC_BENCH_INJECT_SLOWDOWN_PCT")) {
+    const std::string_view text(pct);
+    double value = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || ptr != text.data() + text.size()) {
+      return usage("malformed slowdown percentage '" + std::string(text) +
+                   "'");
+    }
+    g_slowdown_factor = 1.0 + value / 100.0;
+  }
   write_bench();
   return 0;
 }

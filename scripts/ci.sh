@@ -232,7 +232,7 @@ if lane_enabled bench; then
     local out="$1"; shift
     mkdir -p "${out}"
     (cd "${out}" && env "$@" TXCONC_BENCH_FAST="${TXCONC_BENCH_FAST:-1}" \
-      "${BENCH_BIN}" --benchmark_filter='^$' > bench.log 2>&1)
+      "${BENCH_BIN}" > bench.log 2>&1)
   }
   # expect_gate_failure LOG PATTERN GATE_ARGS...: the gate must exit 1 (a
   # regression, not a crash or bad input) and log PATTERN, the failure
@@ -305,7 +305,7 @@ if lane_enabled bench-large; then
   mkdir -p build/bench-large
   (cd build/bench-large && env TXCONC_BENCH_LARGE=1 \
     TXCONC_BENCH_FAST="${TXCONC_BENCH_FAST:-1}" \
-    "${BENCH_BIN}" --benchmark_filter='^$' > bench.log 2>&1)
+    "${BENCH_BIN}" > bench.log 2>&1)
   python3 - build/bench-large/BENCH.json <<'PYEOF'
 import json, sys
 rows = json.load(open(sys.argv[1]))["results"]

@@ -57,10 +57,8 @@ void apply_transaction_into(State& state, const AccountTx& tx,
     throw ValidationError("gas limit below intrinsic cost");
   }
 
-  // The recorder needs real read/write sets in the receipt, so it forces
-  // tracking on. on_begin fires only now — after the validity checks — so
-  // rejected transactions never appear in the audit record.
-  const bool track = config.track_accesses || config.recorder != nullptr;
+  // on_begin fires only now — after the validity checks — so rejected
+  // transactions never appear in the audit record.
   if (config.recorder != nullptr) config.recorder->on_begin(tx);
 
   // Synthetic compute: a deterministic hash-mix burn (same count for every
@@ -79,7 +77,6 @@ void apply_transaction_into(State& state, const AccountTx& tx,
 
   receipt.reset();
   tracker.clear();
-  AccessTracker* tracker_ptr = track ? &tracker : nullptr;
 
   state.set_nonce(tx.from, state.nonce(tx.from) + 1);
   // Charge the full fee upfront; refund after execution.
@@ -91,10 +88,8 @@ void apply_transaction_into(State& state, const AccountTx& tx,
   std::uint64_t gas_used = intrinsic;
   bool success = true;
 
-  if (tracker_ptr) {
-    tracker_ptr->read_balance(tx.from);
-    tracker_ptr->write_balance(tx.from);
-  }
+  tracker.read_balance(tx.from);
+  tracker.write_balance(tx.from);
 
   // Injected traps fire after the value transfer, so the rollback path is
   // exercised exactly as for a genuine mid-execution VM fault.
@@ -115,10 +110,10 @@ void apply_transaction_into(State& state, const AccountTx& tx,
       receipt.created = contract_addr;
       receipt.internal_txs.push_back(
           {tx.from, contract_addr, tx.value, TraceKind::kCreate, 1});
-      if (tracker_ptr) tracker_ptr->write_balance(contract_addr);
+      tracker.write_balance(contract_addr);
     } else {
       const Address to = *tx.to;
-      if (tracker_ptr && tx.value > 0) tracker_ptr->write_balance(to);
+      if (tx.value > 0) tracker.write_balance(to);
       state.transfer(tx.from, to, tx.value);
       maybe_trap();
       const ContractCode* code = state.code(to);
@@ -140,7 +135,7 @@ void apply_transaction_into(State& state, const AccountTx& tx,
 
         ExecutionHooks hooks;
         hooks.traces = &receipt.internal_txs;
-        hooks.tracker = tracker_ptr;
+        hooks.tracker = &tracker;
         hooks.logs = &receipt.logs;
 
         const VmResult vm_result =
@@ -177,12 +172,10 @@ void apply_transaction_into(State& state, const AccountTx& tx,
 
   receipt.success = success;
   receipt.gas_used = gas_used;
-  if (tracker_ptr) {
-    // Copy-assign into the receipt's existing vectors: no allocation once
-    // the receipt slot has seen comparable access counts.
-    receipt.reads = tracker_ptr->finalize_reads();
-    receipt.writes = tracker_ptr->finalize_writes();
-  }
+  // Copy-assign into the receipt's existing vectors: no allocation once
+  // the receipt slot has seen comparable access counts.
+  receipt.reads = tracker.finalize_reads();
+  receipt.writes = tracker.finalize_writes();
   if (config.recorder != nullptr) config.recorder->on_complete(tx, receipt);
 }
 

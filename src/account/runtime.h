@@ -58,13 +58,10 @@ struct RuntimeConfig {
   /// would make every transaction conflict on the miner's balance, which
   /// the paper's TDG, like its coinbase handling, deliberately excludes).
   bool charge_fees = true;
-  /// Record storage/balance read-write sets in the receipt.
-  bool track_accesses = true;
   /// Test-only: trap the transactions this injector selects (see above).
   const FaultInjector* fault_injector = nullptr;
-  /// Observe execution attempts (see AccessRecorder). When set, access
-  /// tracking is forced on so the recorder always sees real read/write
-  /// sets, regardless of track_accesses.
+  /// Observe execution attempts (see AccessRecorder). Receipts always
+  /// carry the storage/balance read-write sets the recorder sees.
   const AccessRecorder* recorder = nullptr;
   /// Observability sink (span tracer + metrics registry, see obs/scope.h).
   /// Null is the zero-cost disabled path; executors emit their per-phase

@@ -429,47 +429,32 @@ class BlockStmExecutor final : public BlockExecutor {
   ExecutionReport execute_block(
       account::StateDb& state, std::span<const AccountTx> transactions,
       const account::RuntimeConfig& config) override {
-    obs::Tracer* const tracer = obs::tracer(config.obs);
-    obs::Registry* const registry = obs::metrics(config.obs);
-    const obs::ThreadProcessScope proc("block-stm");
-    const obs::CausalSpan block_span(
-        tracer, obs::names::kSpanExecuteBlock, obs::names::kCatExec,
-        config.trace, static_cast<std::int64_t>(transactions.size()));
-    emit_thread_budget(tracer,
-                       options_.deterministic ? 1 : pool_.size() + 1);
-    SchedTrace trace(&pool_);
-
-    ExecutionReport report;
-    report.executor = name();
-    report.num_txs = transactions.size();
-    report.receipts.resize(transactions.size());
-
+    BlockFrame frame("block-stm", transactions.size(), config, &pool_,
+                     options_.deterministic ? 1 : pool_.size() + 1);
     {
       // Block-STM predicts nothing a-priori — dependencies are discovered
-      // by executing — but the empty span keeps the predict / schedule /
+      // by executing — but the span keeps the predict / schedule /
       // execute / commit phase contract every parallel engine shares
       // (bench/ablation_engines validates the set from the trace).
-      const obs::CausalSpan span(tracer, obs::names::kSpanPredict,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanPredict);
+      frame.open_report();
     }
 
     n_ = transactions.size();
     txs_ = transactions;
     config_ = &config;
     base_ = &state;
-    report_ = &report;
-    tracer_ = tracer;
+    report_ = &frame.report();
+    tracer_ = frame.tracer();
     sink_ = obs::contention(config.obs);
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanSchedule,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanSchedule);
       prepare_block();
     }
 
     const auto exec_start = std::chrono::steady_clock::now();
     if (n_ > 0) {
-      const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanExecute);
       if (options_.deterministic) {
         worker_body(0);
       } else {
@@ -480,18 +465,16 @@ class BlockStmExecutor final : public BlockExecutor {
       }
     }
     const auto exec_end = std::chrono::steady_clock::now();
-    trace.add_phase1(
+    frame.sched().add_phase1(
         std::chrono::duration<double>(exec_end - exec_start).count());
 
-    {
-      const obs::CausalSpan span(tracer, obs::names::kSpanCommit,
-                                 obs::names::kCatExec, block_span.context());
-      commit(state);
-    }
-    trace.add_phase2(std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - exec_end)
-                         .count());
+    const obs::CausalSpan span = frame.phase(obs::names::kSpanCommit);
+    commit(state);
+    frame.sched().add_phase2(std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - exec_end)
+                                 .count());
 
+    ExecutionReport& report = frame.report();
     // ordering: relaxed — workers have joined by now (the scheduler
     // barrier), so the counter is quiescent; this is a plain read-back.
     report.executions = executions_.load(std::memory_order_relaxed);
@@ -511,33 +494,14 @@ class BlockStmExecutor final : public BlockExecutor {
         obs::AbortReason::kBlockStmValidationFail)] =
         // ordering: relaxed — quiescent read-back, as above.
         aborts_.load(std::memory_order_relaxed);
-    report.simulated_units = std::ceil(
-        static_cast<double>(report.executions) / pool_.size());
-    report.simulated_speedup =
-        report.simulated_units > 0.0
-            ? static_cast<double>(n_) / report.simulated_units
-            : 1.0;
-    report.wall_seconds = trace.finish(report.sched);
-
-    if (registry != nullptr) {
-      // The stall analog for Block-STM is the serial commit walk (phase 2
-      // by construction).
-      registry->histogram(obs::names::kMetricExecConflictStallUs)
-          .observe(report.sched.phase2_seconds * 1e6);
-      obs::Histogram& attempts_hist =
-          registry->histogram(obs::names::kMetricExecAttemptsPerTx);
-      for (const std::uint32_t a : attempts_) {
-        attempts_hist.observe(static_cast<double>(a));
-      }
-      registry->counter(obs::names::kMetricExecBlockStmValidations)
+    if (frame.registry() != nullptr) {
+      frame.registry()
+          ->counter(obs::names::kMetricExecBlockStmValidations)
           // ordering: relaxed — quiescent read-back, as above.
           .add(validations_.load(std::memory_order_relaxed));
-      registry->counter(obs::names::kMetricExecBlockStmAborts)
-          // ordering: relaxed — quiescent read-back, as above.
-          .add(aborts_.load(std::memory_order_relaxed));
     }
-    record_block_metrics(registry, report);
-    return report;
+    return frame.finish(std::ceil(static_cast<double>(report.executions) /
+                                  pool_.size()));
   }
 
  private:

@@ -1,5 +1,4 @@
 // Group-concurrency executor and the shared a-priori conflict prediction.
-#include <chrono>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -14,7 +13,6 @@
 #include "exec/scratch.h"
 #include "exec/thread_pool.h"
 #include "obs/names.h"
-#include "obs/scope.h"
 #include "obs/trace.h"
 
 namespace txconc::exec {
@@ -62,12 +60,6 @@ std::vector<Address> predicted_addresses(const account::AccountTx& tx,
   std::unordered_set<Address> seen;
   collect_predicted(state, tx, out, seen);
   return out;
-}
-
-PredictedGroups predict_groups(
-    std::span<const account::AccountTx> transactions,
-    const account::State& state) {
-  return predict_groups(transactions, state, nullptr);
 }
 
 PredictedGroups predict_groups(
@@ -126,27 +118,17 @@ class GroupExecutor final : public BlockExecutor {
       account::StateDb& state,
       std::span<const account::AccountTx> transactions,
       const account::RuntimeConfig& config) override {
-    obs::Tracer* const tracer = obs::tracer(config.obs);
-    obs::Registry* const registry = obs::metrics(config.obs);
-    const obs::ThreadProcessScope proc(label_);
-    const obs::CausalSpan block_span(
-        tracer, obs::names::kSpanExecuteBlock, obs::names::kCatExec,
-        config.trace, static_cast<std::int64_t>(transactions.size()));
-    emit_thread_budget(tracer, pool_.size() + 1);
-    SchedTrace trace(&pool_);
-
-    ExecutionReport report;
-    report.executor = name();
-    report.num_txs = transactions.size();
-    report.receipts.resize(transactions.size());
+    BlockFrame frame(label_, transactions.size(), config, &pool_,
+                     pool_.size() + 1);
+    obs::Tracer* const tracer = frame.tracer();
 
     // Partition transactions into predicted components (block order is
     // preserved inside each component).
     PredictedGroups groups;
     std::vector<std::vector<std::size_t>> jobs;
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanPredict,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanPredict);
+      frame.open_report();
       groups = predict_groups(transactions, state, tracer);
       std::vector<std::vector<std::size_t>> members(groups.num_components());
       for (std::size_t i = 0; i < transactions.size(); ++i) {
@@ -161,9 +143,8 @@ class GroupExecutor final : public BlockExecutor {
 
     core::Schedule schedule;
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanSchedule,
-                                 obs::names::kCatExec, block_span.context(),
-                                 static_cast<std::int64_t>(jobs.size()));
+      const obs::CausalSpan span = frame.phase(
+          obs::names::kSpanSchedule, static_cast<std::int64_t>(jobs.size()));
       std::vector<double> costs;
       costs.reserve(jobs.size());
       for (const auto& job : jobs) {
@@ -179,13 +160,14 @@ class GroupExecutor final : public BlockExecutor {
     // trackers live in cross-block scratch — rebased per block, never
     // reallocated (the parallel_for index IS the core id, so no slot
     // indirection is needed here).
-    if (scratch_.size() < schedule.assignment.size()) {
-      scratch_.resize(schedule.assignment.size());
-    }
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
-                                 obs::names::kCatExec, block_span.context(),
-                                 static_cast<std::int64_t>(transactions.size()));
+      const obs::CausalSpan span = frame.phase(
+          obs::names::kSpanExecute,
+          static_cast<std::int64_t>(transactions.size()));
+      if (scratch_.size() < schedule.assignment.size()) {
+        scratch_.resize(schedule.assignment.size());
+      }
+      ExecutionReport& report = frame.report();
       pool_.parallel_for(schedule.assignment.size(), [&](std::size_t core_id) {
         if (schedule.assignment[core_id].empty()) return;
         WorkerScratch& ws = scratch_[core_id];
@@ -203,10 +185,9 @@ class GroupExecutor final : public BlockExecutor {
         }
       });
     }
-    trace.phase_boundary();
+    frame.sched().phase_boundary();
+    const obs::CausalSpan span = frame.phase(obs::names::kSpanCommit);
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanCommit,
-                                 obs::names::kCatExec, block_span.context());
       // Merged values are final; skip the undo journal.
       const account::JournalPause pause(state);
       for (std::size_t core_id = 0; core_id < schedule.assignment.size();
@@ -216,33 +197,13 @@ class GroupExecutor final : public BlockExecutor {
       }
       state.flush_journal();
     }
-
+    // The largest component is the serial dwell inside phase 1: cores
+    // idle behind it (exec.seq_bin_txs).
     std::size_t lcc = 0;
     for (const auto& job : jobs) lcc = std::max(lcc, job.size());
-    report.sequential_txs = lcc;
-    report.executions = transactions.size();
-    report.simulated_units = schedule.makespan;
-    report.simulated_speedup =
-        schedule.makespan > 0.0
-            ? static_cast<double>(transactions.size()) / schedule.makespan
-            : 1.0;
-    report.wall_seconds = trace.finish(report.sched);
-    if (registry != nullptr) {
-      // Serial dwell for group concurrency: the overlay-merge tail; the
-      // in-phase-1 stall (cores idling behind the longest component) is
-      // visible separately via exec.largest_component_txs.
-      registry->histogram(obs::names::kMetricExecConflictStallUs)
-          .observe(report.sched.phase2_seconds * 1e6);
-      obs::Histogram& attempts_hist =
-          registry->histogram(obs::names::kMetricExecAttemptsPerTx);
-      for (std::size_t i = 0; i < transactions.size(); ++i) {
-        attempts_hist.observe(1.0);  // groups never re-execute
-      }
-      registry->histogram(obs::names::kMetricExecLargestComponentTxs)
-          .observe(static_cast<double>(lcc));
-    }
-    record_block_metrics(registry, report);
-    return report;
+    frame.report().sequential_txs = lcc;
+    frame.report().executions = transactions.size();
+    return frame.finish(schedule.makespan);
   }
 
   std::string name() const override { return label_; }

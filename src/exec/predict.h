@@ -33,18 +33,13 @@ struct PredictedGroups {
 };
 
 /// Predict which transactions may touch overlapping state, at address
-/// granularity, without executing anything.
+/// granularity, without executing anything. A non-null `tracer` gets the
+/// predict.closure (per-tx reachability walk + TDG edges) and
+/// predict.components (DSU + group fill) sub-spans, so the critical-path
+/// profiler can split the graph-build phase.
 PredictedGroups predict_groups(
     std::span<const account::AccountTx> transactions,
-    const account::State& state);
-
-/// Traced variant: emits predict.closure (per-tx reachability walk +
-/// TDG edges) and predict.components (DSU + group fill) sub-spans on
-/// `tracer` so the critical-path profiler can split the graph-build
-/// phase. tracer may be null (falls back to the untraced path).
-PredictedGroups predict_groups(
-    std::span<const account::AccountTx> transactions,
-    const account::State& state, obs::Tracer* tracer);
+    const account::State& state, obs::Tracer* tracer = nullptr);
 
 /// Every address one transaction can possibly touch, as seen by the
 /// a-priori predictor: the sender, the target (or derived creation

@@ -1,25 +1,28 @@
-// Scheduling-overhead recorder shared by every executor: diffs ThreadPool
-// counters around one block execution and splits the wall time into a
-// concurrent and a serial phase for the ExecutionReport. The sequential
-// baseline passes a null pool so its phase attribution flows through the
-// exact same path as the parallel engines (comparable breakdowns).
+// The frame every executor's execute_block runs inside: the
+// scheduling-overhead recorder (diffs ThreadPool counters around one
+// block execution and splits the wall time into a concurrent and a serial
+// phase), the report-derived metric writes, and BlockFrame, which bundles
+// them with the root span. The sequential baseline passes a null pool so
+// its phase attribution flows through the exact same path as the
+// parallel engines (comparable breakdowns).
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <string>
+#include <utility>
 
 #include "exec/executor.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
+#include "obs/scope.h"
 #include "obs/trace.h"
 
 namespace txconc::exec {
 
 class SchedTrace {
  public:
-  explicit SchedTrace(const ThreadPool& pool) : SchedTrace(&pool) {}
-
   /// Pool-less executors (sequential) pass nullptr: the task/grain
   /// counters stay zero but the phase timers still work.
   explicit SchedTrace(const ThreadPool* pool)
@@ -71,9 +74,9 @@ class SchedTrace {
   double extra_phase2_ = 0.0;
 };
 
-/// Fold one finished block report into the metrics registry. Every
-/// executor calls this with the RuntimeConfig's obs registry (null-safe)
-/// so per-block counters and phase histograms accumulate uniformly.
+/// Fold one finished block report into the metrics registry: the only
+/// writer of report-derived series (BlockFrame::finish calls it for every
+/// engine). Null registry = metrics disabled.
 inline void record_block_metrics(obs::Registry* registry,
                                  const ExecutionReport& report) {
   if (registry == nullptr) return;
@@ -91,6 +94,13 @@ inline void record_block_metrics(obs::Registry* registry,
       .observe(report.sched.phase2_seconds * 1e6);
   registry->histogram(obs::names::kMetricExecSeqBinTxs)
       .observe(static_cast<double>(report.sequential_txs));
+  if (!report.tx_attempts.empty()) {
+    obs::Histogram& attempts =
+        registry->histogram(obs::names::kMetricExecAttemptsPerTx);
+    for (const std::uint32_t a : report.tx_attempts) {
+      attempts.observe(static_cast<double>(a));
+    }
+  }
   for (std::size_t r = 0; r < obs::kNumAbortReasons; ++r) {
     if (report.abort_reasons[r] == 0) continue;
     registry
@@ -100,15 +110,81 @@ inline void record_block_metrics(obs::Registry* registry,
   }
 }
 
-/// Emit the thread-budget instant the critical-path profiler keys on:
-/// arg = participants in this block execution (pool workers + the
-/// caller). Every executor calls this right inside its execute_block
-/// span so the trace carries the denominator of the threads x wall
-/// attribution budget (obs/critpath.h).
-inline void emit_thread_budget(obs::Tracer* tracer,
-                               std::size_t participants) {
-  TXCONC_INSTANT_T(tracer, obs::names::kEvThreads, obs::names::kCatExec,
-                   static_cast<std::int64_t>(participants));
-}
+/// The shared frame of one execute_block call, built first thing by every
+/// engine. Construction resolves the tracer and registry from
+/// `config.obs`, relabels the calling thread as the engine's trace
+/// process, opens the `execute_block` root span, starts the SchedTrace
+/// over `pool` (null for pool-less engines) and emits the `threads`
+/// instant the critical-path profiler keys on: `participants` (pool
+/// workers + caller, or whatever the engine really runs on) is the
+/// denominator of its threads x wall budget (obs/critpath.h).
+///
+/// The engine then opens its phases as children of the root via phase(),
+/// calls open_report() inside its first phase span and finish() inside a
+/// `commit` span, so the receipts allocation and the report/metric tail
+/// are attributed to a phase instead of the profiler's `uncovered`.
+class BlockFrame {
+ public:
+  BlockFrame(const char* executor, std::size_t num_txs,
+             const account::RuntimeConfig& config, const ThreadPool* pool,
+             std::size_t participants)
+      : executor_(executor),
+        num_txs_(num_txs),
+        tracer_(obs::tracer(config.obs)),
+        registry_(obs::metrics(config.obs)),
+        process_(executor),
+        root_(tracer_, obs::names::kSpanExecuteBlock, obs::names::kCatExec,
+              config.trace, static_cast<std::int64_t>(num_txs)),
+        sched_(pool) {
+    TXCONC_INSTANT_T(tracer_, obs::names::kEvThreads, obs::names::kCatExec,
+                     static_cast<std::int64_t>(participants));
+  }
+
+  obs::Tracer* tracer() const { return tracer_; }
+  obs::Registry* registry() const { return registry_; }
+  SchedTrace& sched() { return sched_; }
+  ExecutionReport& report() { return report_; }
+
+  /// A phase span (predict, schedule, execute, commit, seq_bin) as a
+  /// child of the root; `arg` is the span's integer payload.
+  obs::CausalSpan phase(const char* name, std::int64_t arg = -1) const {
+    return obs::CausalSpan(tracer_, name, obs::names::kCatExec,
+                           root_.context(), arg);
+  }
+
+  /// Fill the report header: executor name, num_txs and one receipt slot
+  /// per transaction (engines write receipts in place by block index).
+  ExecutionReport& open_report() {
+    report_.executor = executor_;
+    report_.num_txs = num_txs_;
+    report_.receipts.resize(num_txs_);
+    return report_;
+  }
+
+  /// Close the report: the unit-cost time and the speedup it implies
+  /// (num_txs / simulated_units, 1.0 for an empty block), the wall time
+  /// and phase split, and the block metrics. The engine has filled
+  /// sequential_txs, executions and its abort tallies by now.
+  ExecutionReport finish(double simulated_units) {
+    report_.simulated_units = simulated_units;
+    report_.simulated_speedup =
+        simulated_units > 0.0
+            ? static_cast<double>(num_txs_) / simulated_units
+            : 1.0;
+    report_.wall_seconds = sched_.finish(report_.sched);
+    record_block_metrics(registry_, report_);
+    return std::move(report_);
+  }
+
+ private:
+  const char* executor_;  // string literal; doubles as the trace process
+  std::size_t num_txs_;
+  obs::Tracer* tracer_;
+  obs::Registry* registry_;
+  obs::ThreadProcessScope process_;
+  obs::CausalSpan root_;
+  SchedTrace sched_;
+  ExecutionReport report_;
+};
 
 }  // namespace txconc::exec

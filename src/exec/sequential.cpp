@@ -1,7 +1,8 @@
+#include <chrono>
+
 #include "exec/executor.h"
 #include "exec/sched_trace.h"
 #include "obs/names.h"
-#include "obs/scope.h"
 #include "obs/trace.h"
 
 namespace txconc::exec {
@@ -14,28 +15,16 @@ class SequentialExecutor final : public BlockExecutor {
       account::StateDb& state,
       std::span<const account::AccountTx> transactions,
       const account::RuntimeConfig& config) override {
-    obs::Tracer* const tracer = obs::tracer(config.obs);
-    const obs::ThreadProcessScope proc("sequential");
-    const obs::CausalSpan block_span(
-        tracer, obs::names::kSpanExecuteBlock, obs::names::kCatExec,
-        config.trace, static_cast<std::int64_t>(transactions.size()));
-    emit_thread_budget(tracer, 1);
-    SchedTrace trace(static_cast<const ThreadPool*>(nullptr));
-
-    ExecutionReport report;
-    report.executor = name();
-    report.num_txs = transactions.size();
+    BlockFrame frame("sequential", transactions.size(), config,
+                     /*pool=*/nullptr, /*participants=*/1);
+    obs::Tracer* const tracer = frame.tracer();
     {
       // The apply loop is the serial phase; there is no concurrent phase,
       // so phase1 stays zero instead of absorbing setup/reporting time
       // (the pre-obs code reported the whole wall as phase2, which made
-      // sequential-vs-parallel phase breakdowns incomparable). The
-      // receipts allocation and the report tail sit inside the execute
-      // and commit spans: outside them they would be caller self time,
-      // which the profiler books as `uncovered`.
-      const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
-                                 obs::names::kCatExec, block_span.context());
-      report.receipts.resize(transactions.size());
+      // sequential-vs-parallel phase breakdowns incomparable).
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanExecute);
+      ExecutionReport& report = frame.open_report();
       const auto apply_start = std::chrono::steady_clock::now();
       for (std::size_t i = 0; i < transactions.size(); ++i) {
         const TXCONC_SPAN_T(tracer, obs::names::kSpanTx,
@@ -47,22 +36,16 @@ class SequentialExecutor final : public BlockExecutor {
         account::apply_transaction_into(state, transactions[i], config,
                                         report.receipts[i], tracker_);
       }
-      trace.add_phase2(std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - apply_start)
-                           .count());
+      frame.sched().add_phase2(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        apply_start)
+              .count());
     }
-    {
-      const obs::CausalSpan span(tracer, obs::names::kSpanCommit,
-                                 obs::names::kCatExec, block_span.context());
-      state.flush_journal();
-      report.sequential_txs = transactions.size();
-      report.executions = transactions.size();
-      report.simulated_units = static_cast<double>(transactions.size());
-      report.simulated_speedup = 1.0;
-      report.wall_seconds = trace.finish(report.sched);
-      record_block_metrics(obs::metrics(config.obs), report);
-    }
-    return report;
+    const obs::CausalSpan span = frame.phase(obs::names::kSpanCommit);
+    state.flush_journal();
+    frame.report().sequential_txs = transactions.size();
+    frame.report().executions = transactions.size();
+    return frame.finish(static_cast<double>(transactions.size()));
   }
 
   std::string name() const override { return "sequential"; }

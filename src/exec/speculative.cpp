@@ -14,6 +14,7 @@
 #include "exec/executor.h"
 #include "exec/predict.h"
 #include "exec/sched_trace.h"
+#include "exec/schedule_sim.h"
 #include "exec/scratch.h"
 #include "exec/thread_pool.h"
 #include "obs/names.h"
@@ -36,6 +37,48 @@ struct SlotAgg {
   std::uint32_t last_tx = kNoTx;
 };
 
+/// Phase 2 of the two-phase engines: re-run the binned (`conflicted`)
+/// transactions sequentially, in block order, against the committed
+/// state, then flush the journal. The conflict stall is the apply work
+/// only — summed per transaction so span construction and per-tx tracer
+/// overhead stay out of the histogram, mirroring the sequential
+/// executor's phase-2 timing. Returns the bin size.
+std::size_t run_sequential_bin(BlockFrame& frame, account::StateDb& state,
+                               std::span<const account::AccountTx> txs,
+                               const account::RuntimeConfig& config,
+                               const std::vector<unsigned char>& conflicted,
+                               account::AccessTracker& tracker) {
+  obs::Tracer* const tracer = frame.tracer();
+  obs::Registry* const registry = frame.registry();
+  ExecutionReport& report = frame.report();
+  const obs::CausalSpan span = frame.phase(obs::names::kSpanSeqBin);
+  double stall_seconds = 0.0;
+  std::size_t bin = 0;
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    if (!conflicted[i]) continue;
+    ++bin;
+    const TXCONC_SPAN_T(tracer, obs::names::kSpanTx, obs::names::kCatExec,
+                        static_cast<std::int64_t>(i));
+    if (registry != nullptr) {
+      const auto apply_start = std::chrono::steady_clock::now();
+      account::apply_transaction_into(state, txs[i], config,
+                                      report.receipts[i], tracker);
+      stall_seconds += std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - apply_start)
+                           .count();
+    } else {
+      account::apply_transaction_into(state, txs[i], config,
+                                      report.receipts[i], tracker);
+    }
+  }
+  state.flush_journal();
+  if (registry != nullptr) {
+    registry->histogram(obs::names::kMetricExecConflictStallUs)
+        .observe(stall_seconds * 1e6);
+  }
+  return bin;
+}
+
 class SpeculativeExecutor final : public BlockExecutor {
  public:
   SpeculativeExecutor(unsigned num_threads, AbortPolicy policy)
@@ -48,44 +91,32 @@ class SpeculativeExecutor final : public BlockExecutor {
       account::StateDb& state,
       std::span<const account::AccountTx> transactions,
       const account::RuntimeConfig& config) override {
-    obs::Tracer* const tracer = obs::tracer(config.obs);
-    obs::Registry* const registry = obs::metrics(config.obs);
-    const obs::ThreadProcessScope proc(label_);
-    const obs::CausalSpan block_span(
-        tracer, obs::names::kSpanExecuteBlock, obs::names::kCatExec,
-        config.trace, static_cast<std::int64_t>(transactions.size()));
-    emit_thread_budget(tracer, pool_.size() + 1);
-    SchedTrace trace(&pool_);
-
-    ExecutionReport report;
-    report.executor = name();
-    report.num_txs = transactions.size();
-    report.receipts.resize(transactions.size());
-
-    ensure_worker_scratch(scratch_, pool_.size());
-    writes_.resize(std::max(writes_.size(), transactions.size()));
-    valid_.assign(transactions.size(), 0);
-    conflicted_.assign(transactions.size(), 0);
+    BlockFrame frame(label_, transactions.size(), config, &pool_,
+                     pool_.size() + 1);
+    obs::Tracer* const tracer = frame.tracer();
 
     // Phase 1 (concurrent, speculative). The a-priori components are only
     // consulted to bound what failed attempts could touch; the happy path
     // stays purely speculative as in [17].
     PredictedGroups groups;
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanPredict,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanPredict);
+      frame.open_report();
+      ensure_worker_scratch(scratch_, pool_.size());
+      writes_.resize(std::max(writes_.size(), transactions.size()));
+      valid_.assign(transactions.size(), 0);
+      conflicted_.assign(transactions.size(), 0);
       groups = predict_groups(transactions, state, tracer);
     }
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
-                                 obs::names::kCatExec, block_span.context(),
-                                 static_cast<std::int64_t>(transactions.size()));
-      speculate(state, transactions, config, report, tracer);
+      const obs::CausalSpan span = frame.phase(
+          obs::names::kSpanExecute,
+          static_cast<std::int64_t>(transactions.size()));
+      speculate(state, transactions, config, frame.report(), tracer);
     }
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanSchedule,
-                                 obs::names::kCatExec, block_span.context());
-      detect_conflicts(transactions, report, groups,
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanSchedule);
+      detect_conflicts(transactions, frame.report(), groups,
                        obs::contention(config.obs), tracer);
     }
 
@@ -94,70 +125,22 @@ class SpeculativeExecutor final : public BlockExecutor {
     // values are final — pause the undo journal instead of filling it
     // only to flush it.
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanCommit,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanCommit);
       const account::JournalPause pause(state);
       for (std::size_t i = 0; i < transactions.size(); ++i) {
         if (!conflicted_[i]) writes_[i].apply_to(state);
       }
     }
-    trace.phase_boundary();
+    frame.sched().phase_boundary();
 
-    // Phase 2 (sequential bin, in block order). The conflict stall is the
-    // apply work only — summed per transaction so span construction and
-    // per-tx tracer overhead stay out of the histogram, mirroring the
-    // sequential executor's phase-2 timing.
-    double stall_seconds = 0.0;
-    std::size_t bin = 0;
-    {
-      const obs::CausalSpan span(tracer, obs::names::kSpanSeqBin,
-                                 obs::names::kCatExec, block_span.context());
-      account::AccessTracker& bin_tracker = scratch_[0].tracker;
-      for (std::size_t i = 0; i < transactions.size(); ++i) {
-        if (!conflicted_[i]) continue;
-        ++bin;
-        const TXCONC_SPAN_T(tracer, obs::names::kSpanTx,
-                            obs::names::kCatExec,
-                            static_cast<std::int64_t>(i));
-        if (registry != nullptr) {
-          const auto apply_start = std::chrono::steady_clock::now();
-          account::apply_transaction_into(state, transactions[i], config,
-                                          report.receipts[i], bin_tracker);
-          stall_seconds += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - apply_start)
-                               .count();
-        } else {
-          account::apply_transaction_into(state, transactions[i], config,
-                                          report.receipts[i], bin_tracker);
-        }
-      }
-      state.flush_journal();
-    }
-    if (registry != nullptr) {
-      registry->histogram(obs::names::kMetricExecConflictStallUs)
-          .observe(stall_seconds * 1e6);
-      obs::Histogram& attempts_hist =
-          registry->histogram(obs::names::kMetricExecAttemptsPerTx);
-      for (std::size_t i = 0; i < transactions.size(); ++i) {
-        attempts_hist.observe(conflicted_[i] ? 2.0 : 1.0);
-      }
-    }
-
-    report.sequential_txs = bin;
-    report.executions = transactions.size() + bin;
-    const unsigned cores = pool_.size();
-    const std::size_t phase1 =
-        transactions.empty()
-            ? 0
-            : (transactions.size() + cores - 1) / cores;
-    report.simulated_units = static_cast<double>(phase1 + bin);
-    report.simulated_speedup =
-        report.simulated_units > 0.0
-            ? static_cast<double>(transactions.size()) / report.simulated_units
-            : 1.0;
-    report.wall_seconds = trace.finish(report.sched);
-    record_block_metrics(registry, report);
-    return report;
+    const std::size_t bin = run_sequential_bin(
+        frame, state, transactions, config, conflicted_, scratch_[0].tracker);
+    const obs::CausalSpan span = frame.phase(obs::names::kSpanCommit);
+    frame.report().sequential_txs = bin;
+    frame.report().executions = transactions.size() + bin;
+    return frame.finish(
+        simulate_speculative(transactions.size(), bin, pool_.size())
+            .time_units);
   }
 
   std::string name() const override { return label_; }
@@ -171,9 +154,6 @@ class SpeculativeExecutor final : public BlockExecutor {
                  std::span<const account::AccountTx> txs,
                  const account::RuntimeConfig& config,
                  ExecutionReport& report, obs::Tracer* tracer) {
-    account::RuntimeConfig tracked = config;
-    tracked.track_accesses = true;
-
     const ThreadPool::SlotFn body = [&](unsigned slot, std::size_t i) {
       const TXCONC_SPAN_T(tracer, obs::names::kSpanAttempt,
                           obs::names::kCatExec,
@@ -183,13 +163,13 @@ class SpeculativeExecutor final : public BlockExecutor {
       // underfunded attempts (common under speculation: the transaction
       // depends on an earlier in-block transaction) before the throwing
       // path would allocate an exception and error strings.
-      if (account::precheck_transaction(base, txs[i], tracked) != nullptr) {
+      if (account::precheck_transaction(base, txs[i], config) != nullptr) {
         writes_[i].clear();
         return;
       }
       ws.overlay.reset(base);
       try {
-        account::apply_transaction_into(ws.overlay, txs[i], tracked,
+        account::apply_transaction_into(ws.overlay, txs[i], config,
                                         report.receipts[i], ws.tracker);
         valid_[i] = 1;
         ws.overlay.export_writes(writes_[i]);
@@ -415,22 +395,9 @@ class OracleExecutor final : public BlockExecutor {
       account::StateDb& state,
       std::span<const account::AccountTx> transactions,
       const account::RuntimeConfig& config) override {
-    obs::Tracer* const tracer = obs::tracer(config.obs);
-    obs::Registry* const registry = obs::metrics(config.obs);
-    const obs::ThreadProcessScope proc("oracle-speculative");
-    const obs::CausalSpan block_span(
-        tracer, obs::names::kSpanExecuteBlock, obs::names::kCatExec,
-        config.trace, static_cast<std::int64_t>(transactions.size()));
-    emit_thread_budget(tracer, pool_.size() + 1);
-    SchedTrace trace(&pool_);
-
-    ExecutionReport report;
-    report.executor = name();
-    report.num_txs = transactions.size();
-    report.receipts.resize(transactions.size());
-
-    ensure_worker_scratch(scratch_, pool_.size());
-    conflicted_.assign(transactions.size(), 0);
+    BlockFrame frame("oracle-speculative", transactions.size(), config,
+                     &pool_, pool_.size() + 1);
+    obs::Tracer* const tracer = frame.tracer();
 
     // Preprocessing: predict the conflict set a priori (cost K in the
     // model). A transaction whose predicted component holds >= 2
@@ -438,15 +405,16 @@ class OracleExecutor final : public BlockExecutor {
     // exactly once.
     PredictedGroups groups;
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanPredict,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanPredict);
+      frame.open_report();
+      ensure_worker_scratch(scratch_, pool_.size());
+      conflicted_.assign(transactions.size(), 0);
       groups = predict_groups(transactions, state, tracer);
     }
     {
       // The oracle's schedule is the predicted component partition itself:
       // singleton components run concurrently, the rest go to the bin.
-      const obs::CausalSpan span(tracer, obs::names::kSpanSchedule,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanSchedule);
       for (std::size_t i = 0; i < transactions.size(); ++i) {
         conflicted_[i] =
             groups.component_sizes[groups.component_of_tx[i]] >= 2 ? 1 : 0;
@@ -458,93 +426,43 @@ class OracleExecutor final : public BlockExecutor {
     // worker slot accumulates its share into ONE private overlay and the
     // commit below merges per worker — a handful of batched merges
     // instead of one overlay allocation + merge per transaction.
-    account::RuntimeConfig tracked = config;
-    tracked.track_accesses = true;
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
-                                 obs::names::kCatExec, block_span.context(),
-                                 static_cast<std::int64_t>(transactions.size()));
+      const obs::CausalSpan span = frame.phase(
+          obs::names::kSpanExecute,
+          static_cast<std::int64_t>(transactions.size()));
       for (WorkerScratch& ws : scratch_) ws.overlay.reset(state);
+      ExecutionReport& report = frame.report();
       const ThreadPool::SlotFn body = [&](unsigned slot, std::size_t i) {
         if (conflicted_[i]) return;
         const TXCONC_SPAN_T(tracer, obs::names::kSpanAttempt,
                             obs::names::kCatExec,
                             static_cast<std::int64_t>(i));
         WorkerScratch& ws = scratch_[slot];
-        account::apply_transaction_into(ws.overlay, transactions[i], tracked,
+        account::apply_transaction_into(ws.overlay, transactions[i], config,
                                         report.receipts[i], ws.tracker);
       };
       pool_.parallel_for_slots(transactions.size(), body);
     }
-    std::size_t concurrent = 0;
-    for (std::size_t i = 0; i < transactions.size(); ++i) {
-      if (!conflicted_[i]) ++concurrent;
-    }
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanCommit,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanCommit);
       const account::JournalPause pause(state);
       for (WorkerScratch& ws : scratch_) {
         if (ws.overlay.dirty()) ws.overlay.apply_to(state);
       }
     }
-    trace.phase_boundary();
+    frame.sched().phase_boundary();
 
-    // Sequential phase, in block order. Stall = apply work only (see the
-    // blind executor's bin).
-    double stall_seconds = 0.0;
-    std::size_t bin = 0;
-    {
-      const obs::CausalSpan span(tracer, obs::names::kSpanSeqBin,
-                                 obs::names::kCatExec, block_span.context());
-      account::AccessTracker& bin_tracker = scratch_[0].tracker;
-      for (std::size_t i = 0; i < transactions.size(); ++i) {
-        if (!conflicted_[i]) continue;
-        ++bin;
-        const TXCONC_SPAN_T(tracer, obs::names::kSpanTx,
-                            obs::names::kCatExec,
-                            static_cast<std::int64_t>(i));
-        if (registry != nullptr) {
-          const auto apply_start = std::chrono::steady_clock::now();
-          account::apply_transaction_into(state, transactions[i], config,
-                                          report.receipts[i], bin_tracker);
-          stall_seconds += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - apply_start)
-                               .count();
-        } else {
-          account::apply_transaction_into(state, transactions[i], config,
-                                          report.receipts[i], bin_tracker);
-        }
-      }
-      state.flush_journal();
-    }
-    if (registry != nullptr) {
-      registry->histogram(obs::names::kMetricExecConflictStallUs)
-          .observe(stall_seconds * 1e6);
-      obs::Histogram& attempts_hist =
-          registry->histogram(obs::names::kMetricExecAttemptsPerTx);
-      for (std::size_t i = 0; i < transactions.size(); ++i) {
-        attempts_hist.observe(1.0);  // the oracle never re-executes
-      }
-    }
-
-    report.sequential_txs = bin;
-    report.executions = transactions.size();
-    const unsigned cores = pool_.size();
-    const std::size_t phase1 =
-        concurrent == 0 ? 0 : (concurrent + cores - 1) / cores;
+    // The bin runs exactly once: the oracle never re-executes.
+    const std::size_t bin = run_sequential_bin(
+        frame, state, transactions, config, conflicted_, scratch_[0].tracker);
+    const obs::CausalSpan span = frame.phase(obs::names::kSpanCommit);
+    frame.report().sequential_txs = bin;
+    frame.report().executions = transactions.size();
     // K: one unit per transaction scanned during prediction, amortized to
     // a small constant per block in practice; charge 1 unit.
-    const double k_preprocess = transactions.empty() ? 0.0 : 1.0;
-    report.simulated_units =
-        k_preprocess + static_cast<double>(phase1 + bin);
-    report.simulated_speedup =
-        report.simulated_units > 0.0
-            ? static_cast<double>(transactions.size()) / report.simulated_units
-            : 1.0;
-    report.wall_seconds = trace.finish(report.sched);
-    record_block_metrics(registry, report);
-    return report;
+    return frame.finish(
+        simulate_oracle(transactions.size(), bin, pool_.size(), 1.0)
+            .time_units);
   }
 
   std::string name() const override { return "oracle-speculative"; }

@@ -90,12 +90,8 @@ inline constexpr const char* kMetricExecConflictStallUs =
     "exec.conflict_stall_us";
 inline constexpr const char* kMetricExecAttemptsPerTx =
     "exec.attempts_per_tx";
-inline constexpr const char* kMetricExecLargestComponentTxs =
-    "exec.largest_component_txs";
 inline constexpr const char* kMetricExecBlockStmValidations =
     "exec.block_stm_validations";
-inline constexpr const char* kMetricExecBlockStmAborts =
-    "exec.block_stm_aborts";
 /// Per-reason abort counters: kMetricExecAbortPrefix +
 /// obs::abort_reason_name(reason), e.g. "exec.abort.spec_conflict".
 inline constexpr const char* kMetricExecAbortPrefix = "exec.abort.";

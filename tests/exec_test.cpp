@@ -20,6 +20,7 @@
 #include "exec/replay.h"
 #include "exec/schedule_sim.h"
 #include "exec/thread_pool.h"
+#include "obs/contention.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
@@ -575,6 +576,56 @@ TEST_F(ExecutorRig, ConflictStallIsPositiveButWithinPhase2) {
   EXPECT_LE(stall.sum(), report.sched.phase2_seconds * 1e6);
 }
 
+// The block frame's contract, engine by engine: the report-derived exec.*
+// series equal the report they were folded from, simulated_speedup is
+// num_txs / simulated_units, and the two-phase engines' unit-cost time
+// is the §V schedule simulation of their own bin.
+TEST_F(ExecutorRig, EveryEngineFoldsItsReportIntoTheMetrics) {
+  constexpr unsigned kThreads = 4;
+  for (const ExecutorSpec& spec : executor_registry()) {
+    obs::Registry registry;
+    const obs::Scope scope{nullptr, &registry};
+    config_.obs = &scope;
+    const auto executor = spec.make(kThreads);
+    const auto [state, report] = run(*executor);
+    ASSERT_EQ(report.num_txs, block_.size()) << spec.name;
+
+    EXPECT_EQ(registry.counter("exec.blocks").value(), 1u) << spec.name;
+    EXPECT_EQ(registry.counter("exec.txs").value(), report.num_txs)
+        << spec.name;
+    EXPECT_EQ(registry.counter("exec.executions").value(), report.executions)
+        << spec.name;
+    EXPECT_EQ(registry.counter("exec.sequential_txs").value(),
+              report.sequential_txs)
+        << spec.name;
+    for (std::size_t r = 0; r < obs::kNumAbortReasons; ++r) {
+      const char* reason =
+          obs::abort_reason_name(static_cast<obs::AbortReason>(r));
+      EXPECT_EQ(registry.counter(std::string("exec.abort.") + reason).value(),
+                report.abort_reasons[r])
+          << spec.name << " " << reason;
+    }
+
+    ASSERT_GT(report.simulated_units, 0.0) << spec.name;
+    EXPECT_EQ(report.simulated_speedup,
+              static_cast<double>(report.num_txs) / report.simulated_units)
+        << spec.name;
+    if (spec.name == "speculative" || spec.name == "speculative-fww") {
+      EXPECT_EQ(report.simulated_units,
+                simulate_speculative(report.num_txs, report.sequential_txs,
+                                     kThreads)
+                    .time_units)
+          << spec.name;
+    } else if (spec.name == "oracle-speculative") {
+      EXPECT_EQ(report.simulated_units,
+                simulate_oracle(report.num_txs, report.sequential_txs,
+                                kThreads, 1.0)
+                    .time_units)
+          << spec.name;
+    }
+  }
+}
+
 TEST_F(ExecutorRig, FirstWriterWinsBinsFewer) {
   auto all = make_speculative_executor(4, AbortPolicy::kAllConflicted);
   auto fww = make_speculative_executor(4, AbortPolicy::kFirstWriterWins);
@@ -858,16 +909,13 @@ TEST(ExecutorEmptyBlock, AllExecutorsHandleEmpty) {
   account::StateDb state;
   account::RuntimeConfig config;
   const std::vector<account::AccountTx> empty;
-  std::vector<std::unique_ptr<BlockExecutor>> executors;
-  executors.push_back(make_sequential_executor());
-  executors.push_back(make_speculative_executor(2));
-  executors.push_back(make_oracle_executor(2));
-  executors.push_back(make_group_executor(2));
-  for (const auto& executor : executors) {
+  for (const ExecutorSpec& spec : executor_registry()) {
+    const auto executor = spec.make(2);
     const ExecutionReport report =
         executor->execute_block(state, empty, config);
-    EXPECT_EQ(report.num_txs, 0u);
-    EXPECT_TRUE(report.receipts.empty());
+    EXPECT_EQ(report.num_txs, 0u) << spec.name;
+    EXPECT_TRUE(report.receipts.empty()) << spec.name;
+    EXPECT_EQ(report.simulated_speedup, 1.0) << spec.name;
   }
 }
 
