@@ -3,6 +3,7 @@
 // explainer on the explained cells (see the emitter section below).
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -271,10 +272,14 @@ void explain_contention(Row& row, exec::BlockExecutor& executor,
 // dependency wait / commit / pool idle / untracked, plus the
 // critical-path chains. Warm protocol (DESIGN.md §16): the first traced
 // block absorbs tracer buffer registration and chunk allocation as
-// uncovered caller self time, so the cell traces a warmup run plus a
-// measured run into one buffer and profiles the LAST execute_block.
+// uncovered caller self time, so the cell traces a warmup run plus
+// kProfileRuns measured runs into one buffer and profiles the measured
+// execute_block with the median wall time; a single scheduling hiccup
+// then cannot decide the cell's dominant segment.
 // Returns false, after dumping the raw trace into the CWD, when the cell
 // cannot be profiled or breaks the attribution sum invariant.
+constexpr std::size_t kProfileRuns = 3;
+
 bool profile_cell(Row& row, const exec::ExecutorSpec& spec, const Cell& cell) {
   account::RuntimeConfig config = replay_config();
   config.obs = &obs::global_scope();
@@ -283,7 +288,7 @@ bool profile_cell(Row& row, const exec::ExecutorSpec& spec, const Cell& cell) {
   tracer.enable();
   {
     const auto executor = spec.make(row.threads);
-    for (int run = 0; run < 2; ++run) {  // traced warmup + measured
+    for (std::size_t run = 0; run < 1 + kProfileRuns; ++run) {
       account::StateDb db = *cell.genesis;
       executor->execute_block(db, cell.block, config);
     }
@@ -293,15 +298,27 @@ bool profile_cell(Row& row, const exec::ExecutorSpec& spec, const Cell& cell) {
   tracer.disable();
   std::ostringstream trace;
   tracer.write_chrome_trace(trace);
-  const obs::ProfileResult result = obs::profile_chrome_trace(trace.str());
+  obs::ProfileResult result = obs::profile_chrome_trace(trace.str());
   std::string violation;
   if (tracer.dropped() > 0) {
     row.profile_error = "ring wrapped: " + std::to_string(tracer.dropped()) +
                         " events dropped";
-  } else if (!result.ok || result.blocks.empty()) {
-    row.profile_error = result.ok ? "no execute_block profiled" : result.error;
+  } else if (!result.ok) {
+    row.profile_error = result.error;
+  } else if (result.blocks.size() != 1 + kProfileRuns) {
+    row.profile_error = "profiled " + std::to_string(result.blocks.size()) +
+                        " execute_block(s), expected " +
+                        std::to_string(1 + kProfileRuns);
   } else {
-    row.profile = result.blocks.back();  // the measured (warm) run
+    // The blocks are in execution order; [0] is the warmup.
+    const auto measured = result.blocks.begin() + 1;
+    const auto median = measured + kProfileRuns / 2;
+    std::nth_element(measured, median, result.blocks.end(),
+                     [](const obs::BlockProfile& a,
+                        const obs::BlockProfile& b) {
+                       return a.wall_us < b.wall_us;
+                     });
+    row.profile = std::move(*median);
     violation = obs::check_attribution(row.profile);
   }
   tracer.clear();  // keep the profile cells out of any exported trace
@@ -460,58 +477,82 @@ void print_phase_breakdown(const std::vector<Row>& rows, std::size_t x) {
 // Tracer overhead ladder: the same speculative run on the base block with
 // (a) no obs scope at all, (b) the scope installed but the tracer disabled
 // (the production default -- must stay within noise of (a)), and (c) the
-// tracer enabled. Each mode is a warmed-up median-of-N: medians of
-// equal-sized samples are an apples-to-apples comparison, so the overhead
-// deltas do not go negative the way dueling best-of-N minimums did.
+// tracer enabled. The modes run interleaved, one rep of each per round in
+// a rotating order, and each overhead is the median of the per-round
+// ratios mode/off. Host drift then lands on all three modes alike; timed
+// as separate per-mode batches, drift between the batches reads as
+// overhead.
 struct TracerLadder {
   static constexpr unsigned kThreads = 4;
+  static constexpr int kRounds = 31;
   bench::RepetitionStats off;
   bench::RepetitionStats disabled;
   bench::RepetitionStats enabled;
   double disabled_pct = 0.0;
   double enabled_pct = 0.0;
-  /// Relative dispersion of the noisiest mode: overhead deltas below this
-  /// are indistinguishable from scheduler noise on this host.
+  /// Standard error of the noisier overhead estimate, in percent:
+  /// overhead deltas below this are indistinguishable from scheduler
+  /// noise on this host. Shrinks with sqrt(kRounds).
   double noise_floor_pct = 0.0;
 };
 
 TracerLadder measure_tracer_overhead(const Cell& base) {
+  enum Mode { kOff, kDisabled, kEnabled, kModes };
   obs::Tracer& tracer = obs::Tracer::global();
-  const auto wall_stats = [&](const obs::Scope* scope) {
-    account::RuntimeConfig config = replay_config();
-    config.obs = scope;
-    const auto executor =
-        exec::make_speculative_executor(TracerLadder::kThreads);
-    return bench::measure_reps(bench_reps(), bench_warmup(), [&] {
-      account::StateDb db = *base.genesis;
-      return executor->execute_block(db, base.block, config).wall_seconds;
-    });
+  const auto executor =
+      exec::make_speculative_executor(TracerLadder::kThreads);
+  account::RuntimeConfig configs[kModes] = {replay_config(), replay_config(),
+                                            replay_config()};
+  configs[kDisabled].obs = &obs::global_scope();
+  configs[kEnabled].obs = &obs::global_scope();
+  const auto run = [&](int mode) {
+    if (mode == kEnabled) tracer.enable();
+    account::StateDb db = *base.genesis;
+    const double wall =
+        executor->execute_block(db, base.block, configs[mode]).wall_seconds;
+    tracer.disable();
+    return wall;
   };
 
-  TracerLadder ladder;
-  tracer.disable();
-  ladder.off = wall_stats(nullptr);
-  ladder.disabled = wall_stats(&obs::global_scope());
-  tracer.enable();
-  ladder.enabled = wall_stats(&obs::global_scope());
-  tracer.disable();
+  std::vector<double> samples[kModes];
+  std::vector<double> disabled_ratios;  // same-round wall / off wall
+  std::vector<double> enabled_ratios;
+  const int warmup = bench_warmup();
+  for (int round = 0; round < warmup + TracerLadder::kRounds; ++round) {
+    double wall[kModes];
+    for (int k = 0; k < kModes; ++k) {
+      const int mode = (round + k) % kModes;
+      wall[mode] = run(mode);
+    }
+    if (round < warmup || wall[kOff] <= 0.0) continue;
+    for (int mode = 0; mode < kModes; ++mode) {
+      samples[mode].push_back(wall[mode]);
+    }
+    disabled_ratios.push_back(wall[kDisabled] / wall[kOff]);
+    enabled_ratios.push_back(wall[kEnabled] / wall[kOff]);
+  }
   tracer.clear();  // keep the overhead runs out of any exported trace
 
+  TracerLadder ladder;
+  ladder.off = bench::summarize(samples[kOff]);
+  ladder.disabled = bench::summarize(samples[kDisabled]);
+  ladder.enabled = bench::summarize(samples[kEnabled]);
   ladder.disabled.median_seconds *= g_slowdown_factor;
   ladder.enabled.median_seconds *= g_slowdown_factor;
-
-  const double off = ladder.off.median_seconds;
-  if (off > 0.0) {
-    ladder.disabled_pct = (ladder.disabled.median_seconds / off - 1.0) * 100.0;
-    ladder.enabled_pct = (ladder.enabled.median_seconds / off - 1.0) * 100.0;
-  }
-  for (const bench::RepetitionStats* s :
-       {&ladder.off, &ladder.disabled, &ladder.enabled}) {
-    if (s->median_seconds > 0.0) {
-      ladder.noise_floor_pct = std::max(
-          ladder.noise_floor_pct, s->iqr_seconds / s->median_seconds * 100.0);
-    }
-  }
+  const auto overhead_pct = [&](std::vector<double>& r) {
+    if (r.empty()) return 0.0;
+    std::sort(r.begin(), r.end());
+    const double iqr =
+        bench::quantile_sorted(r, 0.75) - bench::quantile_sorted(r, 0.25);
+    // Standard error of a sample median: 1.2533 * sigma / sqrt(n), with
+    // sigma estimated robustly as IQR / 1.349.
+    const double stderr_pct =
+        0.929 * iqr / std::sqrt(static_cast<double>(r.size())) * 100.0;
+    ladder.noise_floor_pct = std::max(ladder.noise_floor_pct, stderr_pct);
+    return (bench::quantile_sorted(r, 0.5) * g_slowdown_factor - 1.0) * 100.0;
+  };
+  ladder.disabled_pct = overhead_pct(disabled_ratios);
+  ladder.enabled_pct = overhead_pct(enabled_ratios);
   return ladder;
 }
 

@@ -66,6 +66,20 @@ inline double quantile_sorted(const std::vector<double>& sorted, double q) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
+/// Median / IQR / range of a sample of elapsed seconds.
+inline RepetitionStats summarize(std::vector<double> samples) {
+  RepetitionStats stats;
+  stats.reps = static_cast<int>(samples.size());
+  if (samples.empty()) return stats;
+  std::sort(samples.begin(), samples.end());
+  stats.median_seconds = quantile_sorted(samples, 0.5);
+  stats.iqr_seconds =
+      quantile_sorted(samples, 0.75) - quantile_sorted(samples, 0.25);
+  stats.min_seconds = samples.front();
+  stats.max_seconds = samples.back();
+  return stats;
+}
+
 /// Call `run()` (which returns elapsed seconds) `warmup` discarded times,
 /// then `reps` measured times, and summarize with median/IQR. The median
 /// is robust to scheduler noise in both directions, unlike the best-of-N
@@ -74,20 +88,13 @@ inline double quantile_sorted(const std::vector<double>& sorted, double q) {
 /// (which is how overhead deltas used to come out negative).
 template <typename Fn>
 RepetitionStats measure_reps(int reps, int warmup, Fn&& run) {
-  RepetitionStats stats;
-  stats.reps = reps;
-  stats.warmup = warmup;
   for (int i = 0; i < warmup; ++i) (void)run();
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(reps));
   for (int i = 0; i < reps; ++i) samples.push_back(run());
-  if (samples.empty()) return stats;
-  std::sort(samples.begin(), samples.end());
-  stats.median_seconds = quantile_sorted(samples, 0.5);
-  stats.iqr_seconds =
-      quantile_sorted(samples, 0.75) - quantile_sorted(samples, 0.25);
-  stats.min_seconds = samples.front();
-  stats.max_seconds = samples.back();
+  RepetitionStats stats = summarize(std::move(samples));
+  stats.reps = reps;
+  stats.warmup = warmup;
   return stats;
 }
 

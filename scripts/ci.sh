@@ -70,7 +70,7 @@ lane_enabled() {
 # Library targets for compile-only lanes (tsa): everything with annotated
 # or annotation-consuming code, which today is the whole src/ tree.
 LIB_TARGETS=(txconc_common txconc_core txconc_utxo txconc_account
-             txconc_obs txconc_chain txconc_shard txconc_workload
+             txconc_obs txconc_chain txconc_workload
              txconc_exec txconc_audit txconc_analysis txconc_conformance)
 
 # --- tier-1 verify ---------------------------------------------------------

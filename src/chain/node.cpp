@@ -20,8 +20,7 @@ obs::Tracer* node_tracer(const AccountNodeConfig& config) {
 }
 
 /// The node's metrics sink: scope registry when set, otherwise the global
-/// registry while the global tracer is enabled (the shard layer's
-/// convention), else null.
+/// registry while the global tracer is enabled, else null.
 obs::Registry* node_registry(const AccountNodeConfig& config) {
   obs::Registry* scoped = obs::metrics(config.runtime.obs);
   if (scoped != nullptr) return scoped;
@@ -107,8 +106,8 @@ Block<account::AccountTx> AccountNode::produce_block(
   const auto start = std::chrono::steady_clock::now();
   obs::Tracer* const tracer = node_tracer(config_);
   const obs::ThreadProcessScope proc(trace_process_);
-  // Root of the block's causal story: everything downstream — gossip,
-  // pbft rounds, cross-shard 2PC, remote re-execution — links back here.
+  // Root of the block's causal story: everything downstream — the relay
+  // and the remote re-execution — links back here.
   const obs::CausalSpan block_span(tracer, obs::names::kSpanProduceBlock,
                                    obs::names::kCatChain);
   // Pull candidates by fee priority, then order runnable ones. A candidate
@@ -193,7 +192,7 @@ Block<account::AccountTx> AccountNode::produce_block(
   }
   if (config_.snapshots != nullptr) config_.snapshots->tick();
   // Fork the context inside the producing span so the flow arrow starts
-  // here and the relay sites (gossip, pbft, cross-shard) just forward it.
+  // here and the relay sites just forward it.
   if (trace_out != nullptr) *trace_out = block_span.fork();
   return block;
 }

@@ -77,8 +77,8 @@ class AccountNode {
   /// after reordering, drained balance) are skipped, not included.
   /// Returns the produced block. When `trace_out` is non-null it receives
   /// a forked causal context of the block's root span — relay it alongside
-  /// the block (receive_block, pbft, cross-shard) so every downstream span
-  /// joins the block's trace.
+  /// the block (receive_block) so every downstream span joins the block's
+  /// trace.
   Block<account::AccountTx> produce_block(
       std::uint64_t timestamp, obs::TraceContext* trace_out = nullptr);
 

@@ -107,7 +107,7 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// Process-wide registry used by layers without config plumbing
-  /// (thread pool, pbft) and exported by the benches.
+  /// (thread pool, chain nodes) and exported by the benches.
   static Registry& global();
 
   Counter& counter(const std::string& name);

@@ -16,7 +16,6 @@ namespace txconc::obs::names {
 inline constexpr const char* kCatExec = "exec";
 inline constexpr const char* kCatPool = "pool";
 inline constexpr const char* kCatChain = "chain";
-inline constexpr const char* kCatShard = "shard";
 
 // ----------------------------------------------- executor phase spans
 // Every registry engine emits the same top-level contract under its
@@ -65,17 +64,6 @@ inline constexpr const char* kSpanStateRoot = "state_root";
 inline constexpr const char* kSpanPow = "pow";
 inline constexpr const char* kSpanReceiveBlock = "receive_block";
 
-// ----------------------------------------------------------- shard spans
-inline constexpr const char* kSpanPbftRound = "pbft_round";
-inline constexpr const char* kSpanPbftPrePrepare = "pbft_pre_prepare";
-inline constexpr const char* kSpanPbftPrepare = "pbft_prepare";
-inline constexpr const char* kSpanPbftCommit = "pbft_commit";
-inline constexpr const char* kSpanXshardTransfer = "xshard_transfer";
-inline constexpr const char* kSpanXshardLock = "xshard_lock";
-inline constexpr const char* kSpanXshardRedeem = "xshard_redeem";
-inline constexpr const char* kSpanXshardUnlock = "xshard_unlock";
-inline constexpr const char* kSpanEpoch = "epoch";
-
 // -------------------------------------------------------------- metrics
 inline constexpr const char* kMetricExecBlocks = "exec.blocks";
 inline constexpr const char* kMetricExecTxs = "exec.txs";
@@ -104,20 +92,5 @@ inline constexpr const char* kMetricNodeBlocksReceived =
     "node.blocks_received";
 inline constexpr const char* kMetricNodeTxsExecuted = "node.txs_executed";
 inline constexpr const char* kMetricNodeReceiveUs = "node.receive_us";
-inline constexpr const char* kMetricPbftRounds = "pbft.rounds";
-inline constexpr const char* kMetricPbftMessages = "pbft.messages";
-inline constexpr const char* kMetricPbftViewChanges = "pbft.view_changes";
-inline constexpr const char* kMetricXshardTransfers = "xshard.transfers";
-inline constexpr const char* kMetricXshardCommits = "xshard.commits";
-inline constexpr const char* kMetricXshardAborts = "xshard.aborts";
-inline constexpr const char* kMetricXshardLatencyS = "xshard.latency_s";
-inline constexpr const char* kMetricShardEpochs = "shard.epochs";
-inline constexpr const char* kMetricShardMessages = "shard.messages";
-inline constexpr const char* kMetricShardRejectedCrossShard =
-    "shard.rejected_cross_shard";
-inline constexpr const char* kMetricShardFinalBlockTxs =
-    "shard.final_block_txs";
-inline constexpr const char* kMetricShardEpochLatencyS =
-    "shard.epoch_latency_s";
 
 }  // namespace txconc::obs::names

@@ -1,11 +1,11 @@
 // Periodic metrics snapshots: a ring of timestamped counter/gauge
 // captures taken off a Registry, plus delta rates across the window.
 //
-// chain::Node and the shard simulator call tick() on their per-block
-// paths; the writer rate-limits on the steady clock so a hot loop costs
-// one mutex + clock read per block and a full capture only every
-// min_interval_ms. Export the ring with write_json for offline rate
-// plots, or ask rates_per_second() for the roll-up a dashboard shows.
+// chain::Node calls tick() on its per-block paths; the writer rate-limits
+// on the steady clock so a hot loop costs one mutex + clock read per block
+// and a full capture only every min_interval_ms. Export the ring with
+// write_json for offline rate plots, or ask rates_per_second() for the
+// roll-up a dashboard shows.
 #pragma once
 
 #include <cstdint>

@@ -293,7 +293,7 @@ class CausalSpan {
 
 // Span macros. The _T variants take an explicit `obs::Tracer*` (null-safe;
 // executors route the scope threaded through RuntimeConfig here), the
-// plain ones target Tracer::global() (thread pool, chain, shard layers).
+// plain ones target Tracer::global() (thread pool, chain layer).
 #define TXCONC_OBS_CONCAT2(a, b) a##b
 #define TXCONC_OBS_CONCAT(a, b) TXCONC_OBS_CONCAT2(a, b)
 

@@ -5,7 +5,6 @@
 
 #include "account/contracts.h"
 #include "common/error.h"
-#include "shard/sharding.h"
 
 namespace txconc::workload {
 
@@ -156,10 +155,10 @@ Address AccountWorkloadGenerator::pick_user(const EraParams& era,
 Address AccountWorkloadGenerator::pick_user_in_shard(const EraParams& era,
                                                      Category category,
                                                      unsigned shard) {
-  if (!profile_.sharded) return pick_user(era, category);
+  if (profile_.num_shards == 0) return pick_user(era, category);
   for (int attempt = 0; attempt < 200; ++attempt) {
     const Address candidate = pick_user(era, category);
-    if (shard::shard_of(candidate, profile_.num_shards) == shard) {
+    if (shard_of(candidate, profile_.num_shards) == shard) {
       return candidate;
     }
   }
@@ -177,9 +176,9 @@ void AccountWorkloadGenerator::top_up(const Address& addr) {
 account::AccountTx AccountWorkloadGenerator::make_p2p(const EraParams& era) {
   account::AccountTx tx;
   tx.from = pick_user(era, Category::kP2p);
-  if (profile_.sharded) {
+  if (profile_.num_shards != 0) {
     tx.to = pick_user_in_shard(era, Category::kP2p,
-                               shard::shard_of(tx.from, profile_.num_shards));
+                               shard_of(tx.from, profile_.num_shards));
   } else {
     tx.to = pick_user(era, Category::kP2p);
   }
@@ -198,13 +197,13 @@ account::AccountTx AccountWorkloadGenerator::make_exchange_deposit(
                       ? 0
                       : 1 + static_cast<unsigned>(rng_.uniform(std::max(1u, n - 1)));
   if (pick >= n) pick = 0;
-  if (profile_.sharded) {
+  if (profile_.num_shards != 0) {
     // Zilliqa exchanges operate one deposit address per committee; users
     // deposit at the one within their own shard. Scan past the first n
     // indices to find an address landing in the right committee.
-    const unsigned shard = shard::shard_of(tx.from, profile_.num_shards);
+    const unsigned shard = shard_of(tx.from, profile_.num_shards);
     for (unsigned j = pick;; ++j) {
-      if (shard::shard_of(exchange_address(j), profile_.num_shards) == shard) {
+      if (shard_of(exchange_address(j), profile_.num_shards) == shard) {
         pick = j;
         break;
       }
@@ -221,9 +220,9 @@ account::AccountTx AccountWorkloadGenerator::make_pool_payout(
   account::AccountTx tx;
   tx.from = pool_address(rng_.uniform(kNumPools));
   tx.to = pick_user(era, Category::kPoolRecipient);
-  if (profile_.sharded) {
+  if (profile_.num_shards != 0) {
     tx.to = pick_user_in_shard(era, Category::kPoolRecipient,
-                               shard::shard_of(tx.from, profile_.num_shards));
+                               shard_of(tx.from, profile_.num_shards));
   }
   tx.value = 1 + rng_.uniform(100'000);
   tx.gas_limit = 22000;
@@ -260,11 +259,11 @@ account::AccountTx AccountWorkloadGenerator::make_contract_call(
   }
 
   tx.to = chosen->address;
-  if (profile_.sharded) {
+  if (profile_.num_shards != 0) {
     // Contracts live in one committee; their callers come from it.
     tx.from = pick_user_in_shard(
         era, Category::kCaller,
-        shard::shard_of(chosen->address, profile_.num_shards));
+        shard_of(chosen->address, profile_.num_shards));
   }
   switch (chosen->kind) {
     case ContractKind::kRelayChain:

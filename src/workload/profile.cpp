@@ -51,4 +51,9 @@ EraParams ChainProfile::at(double position) const {
   return eras.back();
 }
 
+unsigned shard_of(const Address& sender, unsigned num_shards) {
+  if (num_shards == 0) throw UsageError("shard_of: no shards");
+  return static_cast<unsigned>(sender.low64() % num_shards);
+}
+
 }  // namespace txconc::workload

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
+
 namespace txconc::workload {
 
 /// The two data models of Table I.
@@ -91,8 +93,7 @@ struct ChainProfile {
   double end_year = 2019.5;
   /// Target seconds between blocks (Table I context; drives PoW sims).
   double block_interval_seconds = 15.0;
-  /// Whether the chain is sharded (Zilliqa) and into how many committees.
-  bool sharded = false;
+  /// Committees the chain is sharded into (Zilliqa); 0 = not sharded.
   unsigned num_shards = 0;
   /// Whether the chain supports smart contracts (Table I).
   bool smart_contracts = false;
@@ -108,5 +109,10 @@ struct ChainProfile {
     return start_year + position * (end_year - start_year);
   }
 };
+
+/// Committee of a sender on a sharded chain: the low bits of the address,
+/// as in Zilliqa ("transactions are processed independently at different
+/// committees that are selected based on the senders' addresses", §II-B).
+unsigned shard_of(const Address& sender, unsigned num_shards);
 
 }  // namespace txconc::workload

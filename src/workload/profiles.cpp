@@ -311,7 +311,6 @@ ChainProfile zilliqa_profile() {
   p.start_year = 2019.0;
   p.end_year = 2019.5;
   p.block_interval_seconds = 45.0;
-  p.sharded = true;
   // Zilliqa's early mainnet epochs; conflict-wise the final blocks behave
   // as if a couple of committees carry nearly all traffic.
   p.num_shards = 2;

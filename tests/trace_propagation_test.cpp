@@ -1,8 +1,7 @@
-// Cross-node causal trace propagation (tier-1, ISSUE 5 satellite):
-// a block minted on node-A must carry one TraceContext through block
-// relay, remote re-execution on node-B, pbft consensus rounds and the
-// cross-shard 2PC, so a single Chrome trace tells the whole multi-node
-// story. The acceptance bar is >= 95% of pbft/cross-shard/executor spans
+// Cross-node causal trace propagation (tier-1): a block minted on
+// node-A must carry one TraceContext through block relay and parallel
+// re-execution on node-B, so a single Chrome trace tells the whole
+// two-node story. The acceptance bar is >= 95% of node and executor spans
 // reachable from the block's root; with propagation wired these tests
 // hold the stronger 100%. A negative control proves the check has teeth:
 // with contexts dropped, the spans fragment into many roots and the same
@@ -21,8 +20,6 @@
 #include "obs/scope.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
-#include "shard/cross_shard.h"
-#include "shard/sharding.h"
 
 namespace txconc {
 namespace {
@@ -41,18 +38,6 @@ account::AccountTx make_tx(const Address& from, const Address& to,
   return tx;
 }
 
-/// The (skip+1)-th distinct address mapping to the given committee.
-Address address_in_shard(unsigned shard, unsigned num_shards,
-                         std::uint64_t skip = 0) {
-  for (std::uint64_t s = 0;; ++s) {
-    const Address a = Address::from_seed(0xc0de + s * 131);
-    if (shard::shard_of(a, num_shards) == shard) {
-      if (skip == 0) return a;
-      --skip;
-    }
-  }
-}
-
 /// Fraction of causally-identified spans that belong to `trace_id`.
 double trace_fraction(const obs::TraceValidation& v, std::uint64_t trace_id) {
   if (v.causal.empty()) return 0.0;
@@ -68,11 +53,11 @@ std::set<std::string> causal_names(const obs::TraceValidation& v) {
   return names;
 }
 
-/// Drives the full two-node, two-shard lifecycle under one tracer.
+/// Drives the full two-node lifecycle under one tracer.
 ///
-/// `propagate` is the experiment knob: true forwards every TraceContext
-/// (block relay, committee rounds, 2PC messages); false drops them all,
-/// modeling a deployment that never wired the envelope through.
+/// `propagate` is the experiment knob: true relays the block's TraceContext
+/// with the block; false drops it, modeling a deployment that never wired
+/// the envelope through.
 /// Returns the validated trace plus the block's root trace id.
 struct LifecycleRun {
   obs::TraceValidation validation;
@@ -122,31 +107,6 @@ LifecycleRun run_lifecycle(bool propagate) {
   const std::uint64_t block_trace_id = ctx.trace_id;
   node_b.receive_block(block, ctx);
 
-  // The block's cross-shard settlement: a 2-committee coordinator runs
-  // lock -> redeem (commit) and lock -> unlock (abort) 2PCs plus a
-  // same-shard transfer, all under the block's context.
-  shard::ShardConfig shard_config;
-  shard_config.num_shards = 2;
-  shard_config.pbft.committee_size = 8;
-  shard_config.pbft.obs = &validator_scope;
-  shard::CrossShardCoordinator coordinator(1, shard_config);
-  const Address s0_a = address_in_shard(0, 2, 0);
-  const Address s0_b = address_in_shard(0, 2, 1);
-  const Address s1_a = address_in_shard(1, 2, 0);
-  for (const Address& a : {s0_a, s0_b}) {
-    coordinator.shard_state(0).set_balance(a, 1000);
-    coordinator.shard_state(0).flush_journal();
-  }
-  EXPECT_TRUE(coordinator.transfer(make_tx(s0_a, s1_a, 100, 0),
-                                   /*force_dest_reject=*/false, ctx)
-                  .committed);
-  EXPECT_FALSE(coordinator.transfer(make_tx(s0_a, s1_a, 100, 1),
-                                    /*force_dest_reject=*/true, ctx)
-                   .committed);
-  EXPECT_TRUE(coordinator.transfer(make_tx(s0_a, s0_b, 100, 2),
-                                   /*force_dest_reject=*/false, ctx)
-                  .committed);
-
   tracer.disable();
   std::ostringstream out;
   tracer.write_chrome_trace(out);
@@ -170,7 +130,7 @@ LifecycleRun run_lifecycle(bool propagate) {
   return run;
 }
 
-TEST(TracePropagation, TwoNodeTwoShardLifecycleSharesOneRoot) {
+TEST(TracePropagation, TwoNodeLifecycleSharesOneRoot) {
   const LifecycleRun run = run_lifecycle(/*propagate=*/true);
   const obs::TraceValidation& v = run.validation;
   ASSERT_TRUE(v.ok) << v.error;
@@ -185,13 +145,11 @@ TEST(TracePropagation, TwoNodeTwoShardLifecycleSharesOneRoot) {
   EXPECT_EQ(v.causal_linked, v.causal.size());
   EXPECT_GE(v.flow_binds, 1u);  // the produce -> receive relay arrow
 
-  // The story must actually span all layers: block production, remote
-  // re-execution (executor phases), consensus rounds, cross-shard 2PC.
+  // The story must actually span both nodes: block production and remote
+  // re-execution (executor phases).
   const std::set<std::string> names = causal_names(v);
-  for (const char* required :
-       {"produce_block", "receive_block", "execute_block", "schedule",
-        "commit", "pbft_round", "pbft_pre_prepare", "pbft_commit",
-        "xshard_transfer", "xshard_lock", "xshard_redeem", "xshard_unlock"}) {
+  for (const char* required : {"produce_block", "receive_block",
+                               "execute_block", "schedule", "commit"}) {
     EXPECT_TRUE(names.contains(required)) << "missing span: " << required;
   }
 
@@ -220,7 +178,7 @@ TEST(TracePropagation, DroppedContextsFragmentTheTrace) {
   ASSERT_FALSE(v.causal.empty());
 
   EXPECT_EQ(run.block_trace_id, 0u);  // nothing was relayed
-  EXPECT_GT(v.causal_roots, 1u);      // produce, receive, each 2PC, ...
+  EXPECT_GT(v.causal_roots, 1u);      // produce and receive each mint one
   // No single trace id covers 95% of the spans any more.
   std::set<std::uint64_t> trace_ids;
   for (const obs::CausalSpanInfo& s : v.causal) trace_ids.insert(s.trace_id);

@@ -8,7 +8,6 @@
 #include "analysis/paper_reference.h"
 #include "analysis/series.h"
 #include "common/error.h"
-#include "shard/sharding.h"
 #include "workload/account_workload.h"
 #include "workload/profiles.h"
 #include "workload/utxo_workload.h"
@@ -63,7 +62,12 @@ TEST(Profiles, AllSevenInTableOrder) {
   }
   // Table I facts.
   EXPECT_EQ(profiles[6].consensus, "PoW+Sharding");
-  EXPECT_TRUE(profiles[6].sharded);
+  EXPECT_EQ(profiles[6].num_shards, 2u);
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    if (i != 6) {
+      EXPECT_EQ(profiles[i].num_shards, 0u) << profiles[i].name;
+    }
+  }
   EXPECT_FALSE(profiles[0].smart_contracts);
   EXPECT_TRUE(profiles[4].smart_contracts);
 }
@@ -255,6 +259,70 @@ TEST(AccountWorkload, CreationsDeployCode) {
   EXPECT_GT(creations, 0u);
 }
 
+// ------------------------------------------------------------------ sharding
+
+/// A transaction is cross-shard when sender and receiver map to different
+/// committees (creations count as same-shard: the new address is derived
+/// but processed at the sender's committee).
+bool is_cross_shard(const account::AccountTx& tx, unsigned num_shards) {
+  if (!tx.to.has_value()) return false;
+  return shard_of(tx.from, num_shards) != shard_of(*tx.to, num_shards);
+}
+
+TEST(Sharding, AssignmentDeterministicAndInRange) {
+  for (std::uint64_t s = 0; s < 100; ++s) {
+    const Address a = Address::from_seed(s);
+    const unsigned shard = shard_of(a, 4);
+    EXPECT_LT(shard, 4u);
+    EXPECT_EQ(shard, shard_of(a, 4));
+  }
+  EXPECT_THROW(shard_of(Address::from_seed(1), 0), UsageError);
+}
+
+TEST(Sharding, AssignmentRoughlyBalanced) {
+  std::vector<int> counts(4, 0);
+  for (std::uint64_t s = 0; s < 4000; ++s) {
+    ++counts[shard_of(Address::from_seed(s), 4)];
+  }
+  for (int c : counts) {
+    EXPECT_NEAR(c, 1000, 150);
+  }
+}
+
+TEST(Sharding, CrossShardDetection) {
+  // Find two addresses in the same shard and two in different shards.
+  const Address a = Address::from_seed(1);
+  Address same;
+  Address different;
+  for (std::uint64_t s = 2;; ++s) {
+    const Address b = Address::from_seed(s);
+    if (shard_of(b, 4) == shard_of(a, 4)) {
+      same = b;
+      break;
+    }
+  }
+  for (std::uint64_t s = 2;; ++s) {
+    const Address b = Address::from_seed(s);
+    if (shard_of(b, 4) != shard_of(a, 4)) {
+      different = b;
+      break;
+    }
+  }
+  account::AccountTx intra;
+  intra.from = a;
+  intra.to = same;
+  EXPECT_FALSE(is_cross_shard(intra, 4));
+
+  account::AccountTx cross;
+  cross.from = a;
+  cross.to = different;
+  EXPECT_TRUE(is_cross_shard(cross, 4));
+
+  account::AccountTx creation;
+  creation.from = a;
+  EXPECT_FALSE(is_cross_shard(creation, 4));
+}
+
 TEST(AccountWorkload, ZilliqaTransactionsAreSameShard) {
   const ChainProfile profile = zilliqa_profile();
   AccountWorkloadGenerator gen(profile, 5, 20);
@@ -263,7 +331,7 @@ TEST(AccountWorkload, ZilliqaTransactionsAreSameShard) {
   for (int i = 0; i < 20; ++i) {
     for (const auto& tx : gen.next_block().account_txs) {
       ++total;
-      if (shard::is_cross_shard(tx, profile.num_shards)) ++cross;
+      if (is_cross_shard(tx, profile.num_shards)) ++cross;
     }
   }
   ASSERT_GT(total, 0u);
