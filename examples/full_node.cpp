@@ -1,10 +1,10 @@
-// Full-node walkthrough: mine blocks with real proof-of-work, validate
-// them on an independent node (re-execution + commitment checks), and
-// resolve a fork with the heaviest-chain rule.
+// Full-node walkthrough: a producer assembles blocks from its mempool, the
+// blocks are relayed to an independent validator, and the validator
+// re-executes them with a parallel engine and checks every commitment
+// (linkage, merkle root, gas used, state root).
 #include <iostream>
 
 #include "analysis/report.h"
-#include "chain/fork.h"
 #include "chain/node.h"
 #include "exec/executor.h"
 
@@ -29,88 +29,39 @@ account::AccountTx pay(const AccountNode& node, std::uint64_t from,
 }  // namespace
 
 int main() {
-  // ---- A miner and an independent validator with the same genesis.
-  AccountNodeConfig config;
-  config.mine = true;
-  config.difficulty = 64;  // a few thousand hashes per block
-
-  AccountNode miner(config);
+  // ---- A producer and an independent validator with the same genesis.
+  AccountNode producer;
   // The validator re-executes blocks with the parallel group engine.
   auto engine = exec::make_group_executor(2);
   AccountNode validator(
-      config, [&engine](account::StateDb& state,
-                        std::span<const account::AccountTx> txs,
-                        const account::RuntimeConfig& runtime) {
+      AccountNodeConfig{}, [&engine](account::StateDb& state,
+                                     std::span<const account::AccountTx> txs,
+                                     const account::RuntimeConfig& runtime) {
         return engine->execute_block(state, txs, runtime).receipts;
       });
-  for (auto* node : {&miner, &validator}) {
+  for (auto* node : {&producer, &validator}) {
     for (std::uint64_t u = 1; u <= 4; ++u) {
       node->genesis_fund(addr(u), 100'000'000);
     }
   }
 
-  std::cout << "mining three blocks (difficulty " << config.difficulty
-            << ")...\n";
-  analysis::TextTable table({"height", "txs", "gas", "nonce", "hash"});
+  std::cout << "producing three blocks and relaying each to the validator\n";
+  analysis::TextTable table({"height", "txs", "gas", "hash"});
   for (int round = 0; round < 3; ++round) {
-    miner.submit_transaction(pay(miner, 1, 10, 100 + round));
-    miner.submit_transaction(pay(miner, 2, 11, 200 + round));
-    const auto block = miner.produce_block(10 * (round + 1));
-    validator.receive_block(block);  // PoW + merkle + re-execution checks
+    producer.submit_transaction(pay(producer, 1, 10, 100 + round));
+    producer.submit_transaction(pay(producer, 2, 11, 200 + round));
+    const auto block = producer.produce_block(10 * (round + 1));
+    validator.receive_block(block);  // structure, then re-execution checks
     table.row({std::to_string(block.header.height),
                std::to_string(block.transactions.size()),
                std::to_string(block.header.gas_used),
-               std::to_string(block.header.nonce),
                block.header.hash().short_hex() + "..."});
   }
   std::cout << table.render() << "\n";
-  std::cout << "validator state digest matches miner: "
-            << (validator.state().digest() == miner.state().digest()
+  std::cout << "validator state digest matches producer: "
+            << (validator.state().digest() == producer.state().digest()
                     ? "yes"
                     : "NO (bug!)")
-            << "\n\n";
-
-  // ---- Fork choice: a heavier competing branch appears.
-  std::cout << "fork choice demo (heaviest chain rule):\n";
-  const auto genesis = miner.ledger().at(0).header;
-  ForkTree tree(genesis);
-  for (std::size_t h = 1; h < miner.ledger().height(); ++h) {
-    tree.insert(miner.ledger().at(h).header);
-  }
-  std::cout << "  best height before fork: " << tree.best_height()
-            << " (difficulty "
-            << tree.cumulative_difficulty(tree.best_tip()) << ")\n";
-
-  // An attacker (or a luckier miner) built a heavier private branch from
-  // height 0.
-  BlockHeader fork1;
-  fork1.height = 1;
-  fork1.prev_hash = genesis.hash();
-  fork1.difficulty = 100;
-  fork1.timestamp = 5;
-  BlockHeader fork2;
-  fork2.height = 2;
-  fork2.prev_hash = fork1.hash();
-  fork2.difficulty = 100;
-  fork2.timestamp = 6;
-
-  // 64 + 100 = 164 < 192: inserting fork1 does not move the tip yet...
-  const auto no_move = tree.insert(fork1);
-  std::cout << "  after fork block 1: "
-            << (no_move ? "tip moved (unexpected)" : "tip unchanged") << "\n";
-  // ...but 64 + 200 = 264 > 192 does, and the whole branch swaps.
-  const auto reorg = tree.insert(fork2);
-  if (reorg) {
-    std::cout << "  reorg! disconnect " << reorg->disconnect.size()
-              << " blocks, connect " << reorg->connect.size() << " blocks\n";
-    std::cout << "  new best height: " << tree.best_height()
-              << " (difficulty "
-              << tree.cumulative_difficulty(tree.best_tip()) << ")\n";
-  } else {
-    std::cout << "  no reorg (private branch too light)\n";
-  }
-  std::cout << "\na node following this plan would undo the disconnected "
-               "blocks' transactions (UtxoSet::undo_block / StateDb "
-               "journal) and replay the connected ones.\n";
+            << "\n";
   return 0;
 }

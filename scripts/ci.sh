@@ -4,7 +4,9 @@
 #  * tier1 — configure, build (-Wall -Wextra -Wshadow -Werror), ctest
 #    (critpath_test's registry round-trip is the observability smoke:
 #    every engine traced into a valid Chrome trace file whose profile
-#    satisfies the attribution sum invariant);
+#    satisfies the attribution sum invariant), then a compile-only build
+#    of the node benchmark (nodebench/), which links src/ from its own
+#    CMake package and so breaks first on an API it still uses;
 #  * asan  — ASan/UBSan on exec_test + conformance_test + audit_test:
 #    memory errors and UB under the thread pool's chunked parallel_for;
 #    txconc_explain then analyzes a traced parallel_executor run, driving
@@ -79,6 +81,8 @@ if lane_enabled tier1; then
   cmake -B build -S . -DTXCONC_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
   cmake --build build -j"${JOBS}"
   ctest --test-dir build --output-on-failure -j"${JOBS}"
+  cmake -S nodebench -B .bench_build/nodebench -DCMAKE_BUILD_TYPE=Release
+  cmake --build .bench_build/nodebench --target node_bench -j"${JOBS}"
 fi
 
 # --- ASan/UBSan over the execution layer -----------------------------------

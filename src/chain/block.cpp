@@ -4,8 +4,6 @@
 
 namespace txconc::chain {
 
-Hash256 tx_hash(const utxo::Transaction& tx) { return tx.txid(); }
-
 Hash256 tx_hash(const account::AccountTx& tx) {
   ByteWriter w;
   w.raw(tx.from.bytes);
@@ -26,14 +24,12 @@ Hash256 tx_hash(const account::AccountTx& tx) {
 }
 
 Bytes BlockHeader::serialize() const {
-  ByteWriter w(136);
+  ByteWriter w(120);
   w.raw(prev_hash.bytes);
   w.raw(merkle_root.bytes);
   w.raw(state_root.bytes);
   w.u64(height);
   w.u64(timestamp);
-  w.u64(difficulty);
-  w.u64(nonce);
   w.u64(gas_used);
   return w.take();
 }

@@ -1,8 +1,8 @@
 // Blocks, the ledger, and the mempool.
 //
-// Block<Tx> is generic over the data model's transaction type
-// (utxo::Transaction or account::AccountTx); tx_hash() adapts each type
-// for merkle-tree construction.
+// Block<Tx> is generic over the transaction type; tx_hash() adapts a type
+// for merkle-root construction (account::AccountTx is the one the node
+// runs).
 #pragma once
 
 #include <algorithm>
@@ -15,12 +15,8 @@
 #include "common/bytes.h"
 #include "common/error.h"
 #include "common/hash.h"
-#include "utxo/transaction.h"
 
 namespace txconc::chain {
-
-/// Hash adapter: UTXO transactions already carry a txid.
-Hash256 tx_hash(const utxo::Transaction& tx);
 
 /// Hash adapter: account transactions are hashed over a canonical
 /// serialization of all signed fields.
@@ -34,10 +30,8 @@ struct BlockHeader {
   /// Commitment to the post-state (account model; zero when unused).
   Hash256 state_root;
   std::uint64_t height = 0;
-  std::uint64_t timestamp = 0;   ///< Seconds since chain genesis.
-  std::uint64_t difficulty = 1;  ///< PoW target scale.
-  std::uint64_t nonce = 0;       ///< PoW solution.
-  std::uint64_t gas_used = 0;    ///< Account model only; 0 otherwise.
+  std::uint64_t timestamp = 0;  ///< Seconds since chain genesis.
+  std::uint64_t gas_used = 0;   ///< Gas the block's transactions used.
 
   Bytes serialize() const;
   Hash256 hash() const;
@@ -63,50 +57,68 @@ Hash256 transactions_root(std::span<const Tx> transactions) {
   return merkle_root(leaves);
 }
 
+/// The linkage fields of the header that extends `prev` (nullptr for the
+/// genesis block): prev_hash, height and timestamp.
+inline BlockHeader next_header(const BlockHeader* prev,
+                               std::uint64_t timestamp) {
+  BlockHeader header;
+  header.prev_hash = prev ? prev->hash() : Hash256{};
+  header.height = prev ? prev->height + 1 : 0;
+  header.timestamp = timestamp;
+  return header;
+}
+
 /// Assemble a block on top of `prev` (pass nullptr for the genesis block).
 template <typename Tx>
 Block<Tx> make_block(const BlockHeader* prev, std::vector<Tx> transactions,
-                     std::uint64_t timestamp, std::uint64_t difficulty) {
-  Block<Tx> block;
-  block.transactions = std::move(transactions);
-  block.header.prev_hash = prev ? prev->hash() : Hash256{};
-  block.header.height = prev ? prev->height + 1 : 0;
-  block.header.timestamp = timestamp;
-  block.header.difficulty = difficulty;
+                     std::uint64_t timestamp) {
+  Block<Tx> block{next_header(prev, timestamp), std::move(transactions)};
   block.header.merkle_root =
       transactions_root(std::span<const Tx>(block.transactions));
   return block;
 }
 
-/// An append-only chain of blocks with linkage validation.
+/// An append-only chain of blocks. It owns the block-structure rules
+/// (check_header, check); append trusts its caller to have run them.
 template <typename Tx>
 class Ledger {
  public:
-  /// Validate linkage and merkle commitment, then append.
-  void append(Block<Tx> block) {
+  /// The linkage rules: the header extends the tip (consecutive height,
+  /// prev_hash of the tip) and its timestamp does not go backwards. The
+  /// first block must have height 0. Throws ValidationError.
+  void check_header(const BlockHeader& header) const {
     if (blocks_.empty()) {
-      if (block.header.height != 0) {
+      if (header.height != 0) {
         throw ValidationError("first block must have height 0");
       }
-    } else {
-      const BlockHeader& tip_header = blocks_.back().header;
-      if (block.header.height != tip_header.height + 1) {
-        throw ValidationError("non-consecutive block height");
-      }
-      if (block.header.prev_hash != tip_header.hash()) {
-        throw ValidationError("prev_hash does not match tip");
-      }
-      if (block.header.timestamp < tip_header.timestamp) {
-        throw ValidationError("timestamp going backwards");
-      }
+      return;
     }
+    const BlockHeader& tip_header = blocks_.back().header;
+    if (header.height != tip_header.height + 1) {
+      throw ValidationError("non-consecutive block height");
+    }
+    if (header.prev_hash != tip_header.hash()) {
+      throw ValidationError("prev_hash does not match tip");
+    }
+    if (header.timestamp < tip_header.timestamp) {
+      throw ValidationError("timestamp going backwards");
+    }
+  }
+
+  /// Every block-structure rule: check_header plus the header's merkle
+  /// root committing to the transaction list. Throws ValidationError.
+  void check(const Block<Tx>& block) const {
+    check_header(block.header);
     const Hash256 expected =
         transactions_root(std::span<const Tx>(block.transactions));
     if (block.header.merkle_root != expected) {
       throw ValidationError("merkle root mismatch");
     }
-    blocks_.push_back(std::move(block));
   }
+
+  /// Append a block that passed check() against the current tip; nothing
+  /// is re-checked here.
+  void append(Block<Tx> block) { blocks_.push_back(std::move(block)); }
 
   std::size_t height() const { return blocks_.size(); }
   bool empty() const { return blocks_.empty(); }

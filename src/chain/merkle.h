@@ -1,9 +1,8 @@
-// Merkle trees over transaction ids (Bitcoin-style, with duplication of the
-// odd last element at each level).
+// Merkle roots over transaction hashes (Bitcoin-style, with duplication of
+// the odd last element at each level).
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "common/hash.h"
 
@@ -12,31 +11,5 @@ namespace txconc::chain {
 /// Root of the merkle tree over the given leaves. An empty leaf set hashes
 /// to the all-zero root.
 Hash256 merkle_root(std::span<const Hash256> leaves);
-
-/// A membership proof: sibling hashes bottom-up plus the leaf position.
-struct MerkleProof {
-  std::vector<Hash256> siblings;
-  std::size_t index = 0;
-};
-
-/// Full tree retaining all levels, able to produce proofs.
-class MerkleTree {
- public:
-  explicit MerkleTree(std::span<const Hash256> leaves);
-
-  const Hash256& root() const;
-  std::size_t num_leaves() const { return num_leaves_; }
-
-  /// Proof for the leaf at `index`; throws UsageError when out of range.
-  MerkleProof prove(std::size_t index) const;
-
-  /// Check a proof against a root.
-  static bool verify(const Hash256& leaf, const MerkleProof& proof,
-                     const Hash256& root);
-
- private:
-  std::vector<std::vector<Hash256>> levels_;  // levels_[0] = leaves
-  std::size_t num_leaves_;
-};
 
 }  // namespace txconc::chain

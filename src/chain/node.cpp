@@ -4,7 +4,6 @@
 
 #include "obs/scope.h"
 #include "obs/names.h"
-#include "obs/snapshot.h"
 #include "obs/trace.h"
 
 namespace txconc::chain {
@@ -110,6 +109,10 @@ Block<account::AccountTx> AccountNode::produce_block(
   // and the remote re-execution — links back here.
   const obs::CausalSpan block_span(tracer, obs::names::kSpanProduceBlock,
                                    obs::names::kCatChain);
+  // The block's place in the chain is known before packing: a header the
+  // ledger would refuse fails here, before the mempool or the state move.
+  const BlockHeader* prev = ledger_.empty() ? nullptr : &ledger_.tip().header;
+  ledger_.check_header(next_header(prev, timestamp));
   // Pull candidates by fee priority, then order runnable ones. A candidate
   // whose nonce is not yet current goes back to the pool.
   std::vector<account::AccountTx> candidates =
@@ -117,7 +120,6 @@ Block<account::AccountTx> AccountNode::produce_block(
 
   std::vector<account::AccountTx> included;
   std::uint64_t gas_budget = config_.block_gas_limit;
-  const account::Snapshot pre_block = state_.snapshot();
   std::vector<account::Receipt> receipts;
 
   {
@@ -162,9 +164,8 @@ Block<account::AccountTx> AccountNode::produce_block(
     }
   }
 
-  const BlockHeader* prev = ledger_.empty() ? nullptr : &ledger_.tip().header;
-  Block<account::AccountTx> block = make_block<account::AccountTx>(
-      prev, std::move(included), timestamp, config_.difficulty);
+  Block<account::AccountTx> block =
+      make_block<account::AccountTx>(prev, std::move(included), timestamp);
   for (const auto& r : receipts) {
     block.header.gas_used += r.gas_used;
   }
@@ -173,16 +174,6 @@ Block<account::AccountTx> AccountNode::produce_block(
                                block_span.context());
     block.header.state_root = account::build_state_trie(state_).root();
   }
-  if (config_.mine) {
-    const obs::CausalSpan span(tracer, obs::names::kSpanPow, obs::names::kCatChain,
-                               block_span.context());
-    const auto nonce = mine_header(block.header, config_.mine_budget);
-    if (!nonce) {
-      state_.revert(pre_block);
-      throw Error("mining budget exhausted");
-    }
-    block.header.nonce = *nonce;
-  }
   state_.flush_journal();
   ledger_.append(block);
   if (obs::Registry* const registry = node_registry(config_)) {
@@ -190,7 +181,6 @@ Block<account::AccountTx> AccountNode::produce_block(
     registry->counter(obs::names::kMetricNodeTxsIncluded).add(block.transactions.size());
     registry->histogram(obs::names::kMetricNodeProduceUs).observe(elapsed_us(start));
   }
-  if (config_.snapshots != nullptr) config_.snapshots->tick();
   // Fork the context inside the producing span so the flow arrow starts
   // here and the relay sites just forward it.
   if (trace_out != nullptr) *trace_out = block_span.fork();
@@ -206,27 +196,9 @@ void AccountNode::receive_block(const Block<account::AccountTx>& block,
   const obs::CausalSpan block_span(
       tracer, obs::names::kSpanReceiveBlock, obs::names::kCatChain, trace,
       static_cast<std::int64_t>(block.header.height));
-  // Structural checks first (linkage + merkle) via a dry append guard.
-  const BlockHeader* prev = ledger_.empty() ? nullptr : &ledger_.tip().header;
-  if (prev) {
-    if (block.header.height != prev->height + 1 ||
-        block.header.prev_hash != prev->hash()) {
-      throw ValidationError("block does not extend the tip");
-    }
-  } else if (block.header.height != 0) {
-    throw ValidationError("first block must have height 0");
-  }
-  const Hash256 expected_root = transactions_root(
-      std::span<const account::AccountTx>(block.transactions));
-  if (block.header.merkle_root != expected_root) {
-    throw ValidationError("merkle root mismatch");
-  }
-  // PoW is mandatory whenever this node runs in mining mode — gating on
-  // the nonce value would let a forged zero-nonce block skip the check.
-  if (config_.mine &&
-      !meets_target(block.header.hash(), block.header.difficulty)) {
-    throw ValidationError("proof of work does not meet the target");
-  }
+  // Structural rules before anything mutates; the append below trusts
+  // them.
+  ledger_.check(block);
 
   // Re-execute and verify the gas commitment; roll back on any failure.
   const account::Snapshot pre_block = state_.snapshot();
@@ -268,7 +240,6 @@ void AccountNode::receive_block(const Block<account::AccountTx>& block,
     registry->counter(obs::names::kMetricNodeTxsExecuted).add(block.transactions.size());
     registry->histogram(obs::names::kMetricNodeReceiveUs).observe(elapsed_us(start));
   }
-  if (config_.snapshots != nullptr) config_.snapshots->tick();
 }
 
 }  // namespace txconc::chain

@@ -12,14 +12,9 @@
 #include "account/state.h"
 #include "account/state_trie.h"
 #include "chain/block.h"
-#include "chain/pow.h"
 #include "common/error.h"
 #include "common/thread_annotations.h"
 #include "obs/context.h"
-
-namespace txconc::obs {
-class SnapshotWriter;  // periodic metrics snapshots, see obs/snapshot.h
-}
 
 namespace txconc::chain {
 
@@ -30,11 +25,6 @@ struct AccountNodeConfig {
   std::uint64_t block_gas_limit = 10'000'000;
   /// Maximum transactions per block.
   std::size_t max_block_txs = 500;
-  /// Difficulty carried in produced headers (PoW grinding is optional).
-  std::uint64_t difficulty = 16;
-  /// Grind a valid PoW nonce when producing blocks (slow; for demos).
-  bool mine = false;
-  std::uint64_t mine_budget = 1'000'000;
   /// Commit the post-state trie root into headers and verify it when
   /// receiving blocks (O(accounts) per block).
   bool commit_state_root = true;
@@ -42,9 +32,6 @@ struct AccountNodeConfig {
   /// "node-B", ...); interned at construction. Multi-node runs give each
   /// node its own label so one trace shows one pid row per node.
   std::string trace_label = "node";
-  /// Optional periodic metrics snapshots, ticked after every produced and
-  /// received block. Not owned; must outlive the node.
-  obs::SnapshotWriter* snapshots = nullptr;
 };
 
 /// How a node executes the transactions of a block. Receives the node's
@@ -75,19 +62,21 @@ class AccountNode {
   /// Assemble, execute and append the next block from the mempool.
   /// Transactions that fail validation at execution time (stale nonce
   /// after reordering, drained balance) are skipped, not included.
-  /// Returns the produced block. When `trace_out` is non-null it receives
-  /// a forked causal context of the block's root span — relay it alongside
-  /// the block (receive_block) so every downstream span joins the block's
-  /// trace.
+  /// A `timestamp` below the tip's throws ValidationError before the
+  /// mempool or the state change. Returns the produced block. When
+  /// `trace_out` is non-null it receives a forked causal context of the
+  /// block's root span — relay it alongside the block (receive_block) so
+  /// every downstream span joins the block's trace.
   Block<account::AccountTx> produce_block(
       std::uint64_t timestamp, obs::TraceContext* trace_out = nullptr);
 
-  /// Validate a block received from a peer: linkage, merkle root, PoW
-  /// (when the header carries a mined nonce), then re-execute and check
-  /// the header's gas_used commitment. On success the block is appended
-  /// and the state advanced; on failure the state is untouched and
-  /// ValidationError is thrown. `trace` is the message-envelope causal
-  /// context relayed with the block (zero = start a fresh trace).
+  /// Validate a block received from a peer: the ledger's structural
+  /// rules (linkage, timestamp, merkle root) first, then re-execute and
+  /// check the header's gas_used and state-root commitments. On success
+  /// the block is appended and the state advanced; on failure the state
+  /// and the ledger are untouched and ValidationError is thrown. `trace`
+  /// is the message-envelope causal context relayed with the block (zero
+  /// = start a fresh trace).
   void receive_block(const Block<account::AccountTx>& block,
                      const obs::TraceContext& trace = {});
 

@@ -123,35 +123,36 @@ class GroupExecutor final : public BlockExecutor {
     obs::Tracer* const tracer = frame.tracer();
 
     // Partition transactions into predicted components (block order is
-    // preserved inside each component).
-    PredictedGroups groups;
-    std::vector<std::vector<std::size_t>> jobs;
+    // preserved inside each component). The partition and the schedule
+    // are members, so the previous block's copies are released inside
+    // these phase spans rather than after the last one closes.
     {
       const obs::CausalSpan span = frame.phase(obs::names::kSpanPredict);
       frame.open_report();
-      groups = predict_groups(transactions, state, tracer);
+      const PredictedGroups groups =
+          predict_groups(transactions, state, tracer);
       std::vector<std::vector<std::size_t>> members(groups.num_components());
       for (std::size_t i = 0; i < transactions.size(); ++i) {
         members[groups.component_of_tx[i]].push_back(i);
       }
       // Drop empty components (address components with no transaction).
-      jobs.reserve(members.size());
+      jobs_.clear();
+      jobs_.reserve(members.size());
       for (auto& m : members) {
-        if (!m.empty()) jobs.push_back(std::move(m));
+        if (!m.empty()) jobs_.push_back(std::move(m));
       }
     }
 
-    core::Schedule schedule;
     {
       const obs::CausalSpan span = frame.phase(
-          obs::names::kSpanSchedule, static_cast<std::int64_t>(jobs.size()));
+          obs::names::kSpanSchedule, static_cast<std::int64_t>(jobs_.size()));
       std::vector<double> costs;
-      costs.reserve(jobs.size());
-      for (const auto& job : jobs) {
+      costs.reserve(jobs_.size());
+      for (const auto& job : jobs_) {
         costs.push_back(static_cast<double>(job.size()));
       }
-      schedule = use_lpt_ ? core::schedule_lpt(costs, pool_.size())
-                          : core::schedule_list(costs, pool_.size());
+      schedule_ = use_lpt_ ? core::schedule_lpt(costs, pool_.size())
+                           : core::schedule_list(costs, pool_.size());
     }
 
     // Execute: each worker runs its assigned components sequentially on a
@@ -164,16 +165,16 @@ class GroupExecutor final : public BlockExecutor {
       const obs::CausalSpan span = frame.phase(
           obs::names::kSpanExecute,
           static_cast<std::int64_t>(transactions.size()));
-      if (scratch_.size() < schedule.assignment.size()) {
-        scratch_.resize(schedule.assignment.size());
+      if (scratch_.size() < schedule_.assignment.size()) {
+        scratch_.resize(schedule_.assignment.size());
       }
       ExecutionReport& report = frame.report();
-      pool_.parallel_for(schedule.assignment.size(), [&](std::size_t core_id) {
-        if (schedule.assignment[core_id].empty()) return;
+      pool_.parallel_for(schedule_.assignment.size(), [&](std::size_t core_id) {
+        if (schedule_.assignment[core_id].empty()) return;
         WorkerScratch& ws = scratch_[core_id];
         ws.overlay.reset(state);
-        for (std::size_t job_index : schedule.assignment[core_id]) {
-          for (std::size_t tx_index : jobs[job_index]) {
+        for (std::size_t job_index : schedule_.assignment[core_id]) {
+          for (std::size_t tx_index : jobs_[job_index]) {
             const TXCONC_SPAN_T(tracer, obs::names::kSpanAttempt,
                                 obs::names::kCatExec,
                                 static_cast<std::int64_t>(tx_index));
@@ -190,9 +191,9 @@ class GroupExecutor final : public BlockExecutor {
     {
       // Merged values are final; skip the undo journal.
       const account::JournalPause pause(state);
-      for (std::size_t core_id = 0; core_id < schedule.assignment.size();
+      for (std::size_t core_id = 0; core_id < schedule_.assignment.size();
            ++core_id) {
-        if (schedule.assignment[core_id].empty()) continue;
+        if (schedule_.assignment[core_id].empty()) continue;
         scratch_[core_id].overlay.apply_to(state);
       }
       state.flush_journal();
@@ -200,10 +201,10 @@ class GroupExecutor final : public BlockExecutor {
     // The largest component is the serial dwell inside phase 1: cores
     // idle behind it (exec.seq_bin_txs).
     std::size_t lcc = 0;
-    for (const auto& job : jobs) lcc = std::max(lcc, job.size());
+    for (const auto& job : jobs_) lcc = std::max(lcc, job.size());
     frame.report().sequential_txs = lcc;
     frame.report().executions = transactions.size();
-    return frame.finish(schedule.makespan);
+    return frame.finish(schedule_.makespan);
   }
 
   std::string name() const override { return label_; }
@@ -213,6 +214,8 @@ class GroupExecutor final : public BlockExecutor {
   ThreadPool pool_;
   bool use_lpt_;
   std::vector<WorkerScratch> scratch_;  // per core, reused across blocks
+  std::vector<std::vector<std::size_t>> jobs_;  // this block's components
+  core::Schedule schedule_;                     // this block's assignment
 };
 
 }  // namespace

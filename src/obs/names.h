@@ -61,7 +61,6 @@ inline constexpr const char* kEvAbort = "abort";
 inline constexpr const char* kSpanProduceBlock = "produce_block";
 inline constexpr const char* kSpanPack = "pack";
 inline constexpr const char* kSpanStateRoot = "state_root";
-inline constexpr const char* kSpanPow = "pow";
 inline constexpr const char* kSpanReceiveBlock = "receive_block";
 
 // -------------------------------------------------------------- metrics

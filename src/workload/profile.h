@@ -91,7 +91,7 @@ struct ChainProfile {
   /// Display-only: the real chain's covered period.
   double start_year = 2016.0;
   double end_year = 2019.5;
-  /// Target seconds between blocks (Table I context; drives PoW sims).
+  /// Target seconds between blocks (Table I context).
   double block_interval_seconds = 15.0;
   /// Committees the chain is sharded into (Zilliqa); 0 = not sharded.
   unsigned num_shards = 0;

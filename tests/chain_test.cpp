@@ -1,12 +1,9 @@
-// Tests for the chain substrate: merkle trees, blocks, ledger, PoW, mempool.
+// Tests for the chain substrate: merkle roots, blocks, ledger, mempool.
 #include <gtest/gtest.h>
 
 #include "chain/block.h"
 #include "chain/merkle.h"
-#include "chain/pow.h"
 #include "common/error.h"
-#include "common/rng.h"
-#include "common/stats.h"
 
 namespace txconc::chain {
 namespace {
@@ -53,39 +50,6 @@ TEST(Merkle, OrderMatters) {
   EXPECT_NE(merkle_root(l), root);
 }
 
-TEST(Merkle, TreeRootMatchesFreeFunction) {
-  for (std::size_t n : {1u, 2u, 3u, 4u, 7u, 8u, 33u}) {
-    const auto l = leaves(n);
-    EXPECT_EQ(MerkleTree(l).root(), merkle_root(l)) << n;
-  }
-}
-
-TEST(Merkle, ProofsVerify) {
-  const auto l = leaves(9);
-  const MerkleTree tree(l);
-  for (std::size_t i = 0; i < l.size(); ++i) {
-    const MerkleProof proof = tree.prove(i);
-    EXPECT_TRUE(MerkleTree::verify(l[i], proof, tree.root())) << i;
-    // Wrong leaf fails.
-    EXPECT_FALSE(MerkleTree::verify(Hash256::from_seed(999), proof,
-                                    tree.root()));
-  }
-}
-
-TEST(Merkle, ProofForWrongPositionFails) {
-  const auto l = leaves(8);
-  const MerkleTree tree(l);
-  MerkleProof proof = tree.prove(2);
-  proof.index = 3;
-  EXPECT_FALSE(MerkleTree::verify(l[2], proof, tree.root()));
-}
-
-TEST(Merkle, ProveOutOfRangeThrows) {
-  const auto l = leaves(4);
-  const MerkleTree tree(l);
-  EXPECT_THROW(tree.prove(4), UsageError);
-}
-
 // --------------------------------------------------------------------- block
 
 TEST(Block, HeaderHashCommitsToFields) {
@@ -93,7 +57,7 @@ TEST(Block, HeaderHashCommitsToFields) {
   a.height = 5;
   BlockHeader b = a;
   EXPECT_EQ(a.hash(), b.hash());
-  b.nonce = 1;
+  b.gas_used = 1;
   EXPECT_NE(a.hash(), b.hash());
   b = a;
   b.merkle_root = Hash256::from_seed(1);
@@ -126,143 +90,76 @@ TEST(Block, MakeBlockLinksAndCommits) {
     txs[i].from = Address::from_seed(i);
     txs[i].to = Address::from_seed(i + 100);
   }
-  const auto genesis = make_block<account::AccountTx>(nullptr, txs, 0, 1);
+  const auto genesis = make_block<account::AccountTx>(nullptr, txs, 0);
   EXPECT_EQ(genesis.header.height, 0u);
   EXPECT_TRUE(genesis.header.prev_hash.is_zero());
 
-  const auto next =
-      make_block<account::AccountTx>(&genesis.header, txs, 10, 1);
+  const auto next = make_block<account::AccountTx>(&genesis.header, txs, 10);
   EXPECT_EQ(next.header.height, 1u);
   EXPECT_EQ(next.header.prev_hash, genesis.header.hash());
 }
 
-TEST(Ledger, AppendValidatesLinkage) {
+TEST(Ledger, CheckValidatesLinkage) {
   std::vector<account::AccountTx> txs(1);
   txs[0].from = Address::from_seed(1);
   txs[0].to = Address::from_seed(2);
 
   Ledger<account::AccountTx> ledger;
-  auto genesis = make_block<account::AccountTx>(nullptr, txs, 0, 1);
+  const auto genesis = make_block<account::AccountTx>(nullptr, txs, 0);
+  ledger.check(genesis);
   ledger.append(genesis);
-  auto b1 = make_block<account::AccountTx>(&genesis.header, txs, 5, 1);
+  const auto b1 = make_block<account::AccountTx>(&genesis.header, txs, 5);
+  ledger.check(b1);
   ledger.append(b1);
   EXPECT_EQ(ledger.height(), 2u);
   EXPECT_EQ(ledger.total_transactions(), 2u);
   EXPECT_EQ(ledger.tip().header.height, 1u);
   EXPECT_EQ(ledger.at(0).header.height, 0u);
 
-  // Wrong prev hash.
-  auto bad = make_block<account::AccountTx>(&genesis.header, txs, 6, 1);
-  EXPECT_THROW(ledger.append(bad), ValidationError);
+  // Extends an older block than the tip.
+  const auto stale = make_block<account::AccountTx>(&genesis.header, txs, 6);
+  EXPECT_THROW(ledger.check(stale), ValidationError);
 
-  // Tampered merkle root.
-  auto b2 = make_block<account::AccountTx>(&b1.header, txs, 6, 1);
+  // Right height, wrong prev hash.
+  auto bad = make_block<account::AccountTx>(&b1.header, txs, 6);
+  bad.header.prev_hash = genesis.header.hash();
+  EXPECT_THROW(ledger.check_header(bad.header), ValidationError);
+
+  // Non-consecutive height.
+  auto skip = make_block<account::AccountTx>(&b1.header, txs, 6);
+  skip.header.height += 1;
+  EXPECT_THROW(ledger.check_header(skip.header), ValidationError);
+
+  // Tampered merkle root: the header alone still links.
+  auto b2 = make_block<account::AccountTx>(&b1.header, txs, 6);
   b2.transactions[0].value = 777;
-  EXPECT_THROW(ledger.append(b2), ValidationError);
+  EXPECT_NO_THROW(ledger.check_header(b2.header));
+  EXPECT_THROW(ledger.check(b2), ValidationError);
 
-  // Backwards timestamp.
-  auto b3 = make_block<account::AccountTx>(&b1.header, txs, 2, 1);
-  EXPECT_THROW(ledger.append(b3), ValidationError);
+  // Backwards timestamp, on both the header and the block check; an equal
+  // timestamp is allowed.
+  const auto b3 = make_block<account::AccountTx>(&b1.header, txs, 2);
+  EXPECT_THROW(ledger.check_header(b3.header), ValidationError);
+  EXPECT_THROW(ledger.check(b3), ValidationError);
+  EXPECT_NO_THROW(
+      ledger.check(make_block<account::AccountTx>(&b1.header, txs, 5)));
+
+  // Checks never change the ledger.
+  EXPECT_EQ(ledger.height(), 2u);
+  EXPECT_EQ(ledger.tip().header.hash(), b1.header.hash());
 }
 
 TEST(Ledger, FirstBlockMustBeGenesis) {
   std::vector<account::AccountTx> txs(1);
   txs[0].from = Address::from_seed(1);
   txs[0].to = Address::from_seed(2);
-  auto genesis = make_block<account::AccountTx>(nullptr, txs, 0, 1);
-  auto b1 = make_block<account::AccountTx>(&genesis.header, txs, 5, 1);
+  const auto genesis = make_block<account::AccountTx>(nullptr, txs, 0);
+  const auto b1 = make_block<account::AccountTx>(&genesis.header, txs, 5);
 
   Ledger<account::AccountTx> ledger;
-  EXPECT_THROW(ledger.append(b1), ValidationError);
+  EXPECT_THROW(ledger.check(b1), ValidationError);
+  EXPECT_NO_THROW(ledger.check(genesis));
   EXPECT_THROW(ledger.tip(), UsageError);
-}
-
-// ----------------------------------------------------------------------- PoW
-
-TEST(Pow, TargetMonotoneInDifficulty) {
-  // Difficulty 1 accepts everything.
-  EXPECT_TRUE(meets_target(Hash256::from_seed(1), 1));
-  // A higher difficulty accepts a subset.
-  int accepted_lo = 0;
-  int accepted_hi = 0;
-  for (std::uint64_t i = 0; i < 2000; ++i) {
-    const Hash256 h = Hash256::from_seed(i);
-    accepted_lo += meets_target(h, 4) ? 1 : 0;
-    accepted_hi += meets_target(h, 64) ? 1 : 0;
-  }
-  EXPECT_GT(accepted_lo, accepted_hi);
-  // Roughly 1/4 and 1/64 acceptance.
-  EXPECT_NEAR(accepted_lo / 2000.0, 0.25, 0.05);
-  EXPECT_NEAR(accepted_hi / 2000.0, 1.0 / 64, 0.02);
-}
-
-TEST(Pow, MineFindsValidNonce) {
-  BlockHeader header;
-  header.difficulty = 16;
-  const auto nonce = mine_header(header, 100000);
-  ASSERT_TRUE(nonce.has_value());
-  header.nonce = *nonce;
-  EXPECT_TRUE(meets_target(header.hash(), header.difficulty));
-}
-
-TEST(Pow, MineGivesUpAtBudget) {
-  BlockHeader header;
-  header.difficulty = ~std::uint64_t{0};  // essentially impossible
-  EXPECT_FALSE(mine_header(header, 10).has_value());
-}
-
-TEST(Pow, BitcoinRetargetDirection) {
-  // Blocks came twice as fast -> difficulty doubles.
-  EXPECT_EQ(bitcoin_retarget(1000, 500, 1000), 2000u);
-  // Twice as slow -> halves.
-  EXPECT_EQ(bitcoin_retarget(1000, 2000, 1000), 500u);
-  // Perfect -> unchanged.
-  EXPECT_EQ(bitcoin_retarget(1000, 1000, 1000), 1000u);
-}
-
-TEST(Pow, BitcoinRetargetClampsAtFourX) {
-  EXPECT_EQ(bitcoin_retarget(1000, 1, 1000), 4000u);
-  EXPECT_EQ(bitcoin_retarget(1000, 1000000, 1000), 250u);
-}
-
-TEST(Pow, EthereumAdjustDirection) {
-  const std::uint64_t parent = 2048 * 1000;
-  // Fast block -> difficulty rises.
-  EXPECT_GT(ethereum_adjust(parent, 5, 10), parent);
-  // Slow block -> falls.
-  EXPECT_LT(ethereum_adjust(parent, 30, 10), parent);
-  // Never below 1.
-  EXPECT_GE(ethereum_adjust(2, 10000, 10), 1u);
-}
-
-TEST(Pow, SimulatorIntervalMatchesExpectation) {
-  PowSimulator sim(7, 100.0);  // 100 hashes/s
-  RunningStats stats;
-  for (int i = 0; i < 20000; ++i) {
-    stats.add(sim.next_block_interval(60000));  // mean 600s
-  }
-  EXPECT_NEAR(stats.mean(), 600.0, 15.0);
-}
-
-TEST(Pow, SimulatedRetargetLoopConverges) {
-  // Closed loop: hashrate fixed, difficulty retargeted every 10 blocks
-  // towards a 600 s interval; the mean interval should converge.
-  PowSimulator sim(11, 1000.0);
-  std::uint64_t difficulty = 1000;  // start far too easy
-  const std::uint64_t target_timespan = 6000;
-  double last_timespan = 0.0;
-  for (int epoch = 0; epoch < 40; ++epoch) {
-    double timespan = 0.0;
-    for (int b = 0; b < 10; ++b) {
-      timespan += sim.next_block_interval(difficulty);
-    }
-    difficulty = bitcoin_retarget(
-        difficulty, std::max<std::uint64_t>(1, static_cast<std::uint64_t>(timespan)),
-        target_timespan);
-    last_timespan = timespan;
-  }
-  EXPECT_NEAR(last_timespan, 6000.0, 4000.0);  // converged to the ballpark
-  EXPECT_GT(difficulty, 100000u);              // grew towards ~600k
 }
 
 // ------------------------------------------------------------------- mempool

@@ -12,12 +12,10 @@
 #include "analysis/speedup.h"
 #include "chain/node.h"
 #include "common/rng.h"
-#include "chain/utxo_node.h"
 #include "common/error.h"
 #include "exec/block_stm.h"
 #include "exec/executor.h"
 #include "exec/replay.h"
-#include "utxo/wallet.h"
 #include "workload/account_workload.h"
 #include "workload/profiles.h"
 #include "workload/utxo_workload.h"
@@ -119,42 +117,7 @@ TEST(Integration, MinerAndTwoValidatorsAgree) {
   EXPECT_EQ(stats.total_transactions, 3u);
 }
 
-// Scenario 3: wallet -> UTXO node -> reorg -> wallet consistency.
-TEST(Integration, WalletSurvivesReorg) {
-  chain::UtxoNode node;
-  utxo::Wallet miner_wallet(1);
-  utxo::Wallet user_wallet(2);
-
-  const auto funding = node.produce_block(10, miner_wallet.next_receive_script());
-  miner_wallet.process_block(funding.transactions);
-
-  const utxo::Transaction payment = miner_wallet.pay(
-      user_wallet.next_receive_script(), 10'0000'0000ULL, 100ULL);
-  node.submit_transaction(payment);
-  const auto paid_block =
-      node.produce_block(20, miner_wallet.next_receive_script());
-  user_wallet.process_block(paid_block.transactions);
-  EXPECT_EQ(user_wallet.balance(), 10'0000'0000ULL);
-
-  // The tip is reorged away: the node undoes it, the user rescans from a
-  // fresh wallet state (simplest recovery model).
-  node.undo_tip();
-  utxo::Wallet recovered(2);
-  recovered.next_receive_script();  // re-derive the watch key
-  for (std::size_t h = 0; h < node.ledger().height(); ++h) {
-    recovered.process_block(node.ledger().at(h).transactions);
-  }
-  EXPECT_EQ(recovered.balance(), 0u);  // the payment is gone with the block
-
-  // Re-mining the same payment restores it.
-  node.submit_transaction(payment);
-  const auto remined =
-      node.produce_block(30, miner_wallet.next_receive_script());
-  recovered.process_block(remined.transactions);
-  EXPECT_EQ(recovered.balance(), 10'0000'0000ULL);
-}
-
-// Scenario 4: chaos replay — a different executor for every block of the
+// Scenario 3: chaos replay — a different executor for every block of the
 // same history must still end in the sequential state.
 TEST(Integration, MixedExecutorsPerBlockStillAgree) {
   workload::ChainProfile profile = workload::ethereum_classic_profile();
@@ -184,7 +147,7 @@ TEST(Integration, MixedExecutorsPerBlockStillAgree) {
   EXPECT_EQ(mixed_replay.state().digest(), expected);
 }
 
-// Scenario 5: model predictions from measured series match the engine the
+// Scenario 4: model predictions from measured series match the engine the
 // replayer drives — the whole Fig. 10 story in one assertion.
 TEST(Integration, ModelPredictsEngineWithinTolerance) {
   workload::ChainProfile profile = workload::ethereum_profile();

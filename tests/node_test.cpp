@@ -1,9 +1,7 @@
-// Tests for the full-node integration layer and the fork-choice tree.
+// Tests for the full-node integration layer.
 #include <gtest/gtest.h>
 
 #include "account/contracts.h"
-#include "chain/fork.h"
-#include "chain/network.h"
 #include "chain/node.h"
 #include "common/error.h"
 #include "exec/executor.h"
@@ -176,38 +174,49 @@ TEST_F(AccountNodeTest, ReceiveBlockRejectsBadLinkage) {
   EXPECT_EQ(validator.ledger().height(), 2u);
 }
 
-TEST_F(AccountNodeTest, MinedBlocksCarryValidPow) {
-  AccountNodeConfig config;
-  config.mine = true;
-  config.difficulty = 8;
-  AccountNode miner(config);
-  miner.genesis_fund(addr(1), 10'000'000);
-  miner.submit_transaction(make_tx(addr(1), addr(3), 5, 0));
-  const auto block = miner.produce_block(1);
-  EXPECT_TRUE(meets_target(block.header.hash(), block.header.difficulty));
+// A correctly linked block whose timestamp goes backwards is refused by
+// the structural check, before re-execution touches the state.
+TEST_F(AccountNodeTest, ReceiveBlockRejectsBackwardTimestampBeforeExecuting) {
+  node_.submit_transaction(make_tx(addr(1), addr(3), 1000, 0));
+  const auto b0 = node_.produce_block(10);
+  node_.submit_transaction(make_tx(addr(1), addr(3), 500, 1));
+  const auto b1 = node_.produce_block(10);
 
-  AccountNode validator(config);
+  AccountNode validator;
   validator.genesis_fund(addr(1), 10'000'000);
-  validator.receive_block(block);
+  validator.genesis_fund(addr(2), 10'000'000);
+  validator.receive_block(b0);
+  const Hash256 digest = validator.state().digest();
 
-  // A forged nonce is rejected.
-  auto forged = block;
-  forged.header.nonce += 1;
-  while (meets_target(forged.header.hash(), forged.header.difficulty)) {
-    forged.header.nonce += 1;  // find a failing nonce (difficulty 8: fast)
-  }
-  AccountNode validator2(config);
-  validator2.genesis_fund(addr(1), 10'000'000);
-  EXPECT_THROW(validator2.receive_block(forged), ValidationError);
+  // Only the timestamp changes: linkage, merkle root, gas and state-root
+  // commitments all still hold.
+  auto backwards = b1;
+  backwards.header.timestamp = 9;
+  EXPECT_THROW(validator.receive_block(backwards), ValidationError);
+  EXPECT_EQ(validator.state().digest(), digest);
+  EXPECT_EQ(validator.ledger().height(), 1u);
 
-  // Zeroing the nonce must not bypass the proof-of-work check.
-  auto zeroed = block;
-  zeroed.header.nonce = 0;
-  if (!meets_target(zeroed.header.hash(), zeroed.header.difficulty)) {
-    AccountNode validator3(config);
-    validator3.genesis_fund(addr(1), 10'000'000);
-    EXPECT_THROW(validator3.receive_block(zeroed), ValidationError);
-  }
+  validator.receive_block(b1);
+  EXPECT_EQ(validator.state().digest(), node_.state().digest());
+}
+
+// produce_block refuses a timestamp below the tip's before it takes
+// anything from the mempool or executes anything.
+TEST_F(AccountNodeTest, ProduceRejectsBackwardTimestampBeforePacking) {
+  node_.submit_transaction(make_tx(addr(1), addr(3), 1000, 0));
+  node_.produce_block(10);
+  node_.submit_transaction(make_tx(addr(1), addr(3), 500, 1));
+  const Hash256 digest = node_.state().digest();
+
+  EXPECT_THROW(node_.produce_block(9), ValidationError);
+  EXPECT_EQ(node_.ledger().height(), 1u);
+  EXPECT_EQ(node_.state().digest(), digest);
+  EXPECT_EQ(node_.mempool_size(), 1u);
+
+  // The transaction lands in the next well-timed block.
+  const auto b1 = node_.produce_block(10);
+  EXPECT_EQ(b1.transactions.size(), 1u);
+  EXPECT_EQ(node_.ledger().height(), 2u);
 }
 
 TEST_F(AccountNodeTest, PluggableParallelExecutorValidates) {
@@ -240,194 +249,6 @@ TEST_F(AccountNodeTest, GenesisAfterStartRejected) {
   node_.produce_block(1);
   EXPECT_THROW(node_.genesis_fund(addr(5), 1), UsageError);
   EXPECT_THROW(node_.genesis_deploy(addr(5), {}), UsageError);
-}
-
-// ------------------------------------------------------------------ ForkTree
-
-class ForkTreeTest : public ::testing::Test {
- protected:
-  ForkTreeTest() : genesis_(make_header(0, Hash256{}, 10)), tree_(genesis_) {}
-
-  static BlockHeader make_header(std::uint64_t height, const Hash256& prev,
-                                 std::uint64_t difficulty,
-                                 std::uint64_t salt = 0) {
-    BlockHeader h;
-    h.height = height;
-    h.prev_hash = prev;
-    h.difficulty = difficulty;
-    h.timestamp = salt;  // differentiates sibling headers
-    return h;
-  }
-
-  BlockHeader genesis_;
-  ForkTree tree_;
-};
-
-TEST_F(ForkTreeTest, ExtensionMovesTipWithoutReorg) {
-  const BlockHeader b1 = make_header(1, genesis_.hash(), 10);
-  const auto reorg = tree_.insert(b1);
-  ASSERT_TRUE(reorg.has_value());
-  EXPECT_TRUE(reorg->disconnect.empty());
-  EXPECT_TRUE(reorg->connect.empty());
-  EXPECT_EQ(tree_.best_tip(), b1.hash());
-  EXPECT_EQ(tree_.best_height(), 1u);
-  EXPECT_EQ(tree_.cumulative_difficulty(b1.hash()), 20u);
-}
-
-TEST_F(ForkTreeTest, LighterBranchDoesNotMoveTip) {
-  const BlockHeader b1 = make_header(1, genesis_.hash(), 10);
-  tree_.insert(b1);
-  const BlockHeader fork = make_header(1, genesis_.hash(), 5, /*salt=*/1);
-  EXPECT_FALSE(tree_.insert(fork).has_value());
-  EXPECT_EQ(tree_.best_tip(), b1.hash());
-}
-
-TEST_F(ForkTreeTest, HeavierForkTriggersReorg) {
-  const BlockHeader a1 = make_header(1, genesis_.hash(), 10);
-  const BlockHeader a2 = make_header(2, a1.hash(), 10);
-  tree_.insert(a1);
-  tree_.insert(a2);
-
-  // Competing branch with more cumulative difficulty.
-  const BlockHeader b1 = make_header(1, genesis_.hash(), 15, 1);
-  const BlockHeader b2 = make_header(2, b1.hash(), 15, 1);
-  EXPECT_FALSE(tree_.insert(b1).has_value());  // 25 < 30
-  const auto reorg = tree_.insert(b2);          // 40 > 30
-  ASSERT_TRUE(reorg.has_value());
-  EXPECT_EQ(reorg->disconnect,
-            (std::vector<Hash256>{a2.hash(), a1.hash()}));
-  EXPECT_EQ(reorg->connect, (std::vector<Hash256>{b1.hash(), b2.hash()}));
-  EXPECT_EQ(tree_.best_tip(), b2.hash());
-}
-
-TEST_F(ForkTreeTest, ReorgAcrossUnequalDepths) {
-  // Old branch of length 1 vs new branch of length 3 with low difficulty.
-  const BlockHeader a1 = make_header(1, genesis_.hash(), 10);
-  tree_.insert(a1);
-  const BlockHeader b1 = make_header(1, genesis_.hash(), 4, 1);
-  const BlockHeader b2 = make_header(2, b1.hash(), 4, 1);
-  const BlockHeader b3 = make_header(3, b2.hash(), 4, 1);
-  tree_.insert(b1);
-  tree_.insert(b2);
-  const auto reorg = tree_.insert(b3);  // 10+12 > 10+10
-  ASSERT_TRUE(reorg.has_value());
-  EXPECT_EQ(reorg->disconnect, (std::vector<Hash256>{a1.hash()}));
-  EXPECT_EQ(reorg->connect,
-            (std::vector<Hash256>{b1.hash(), b2.hash(), b3.hash()}));
-}
-
-TEST_F(ForkTreeTest, FirstSeenWinsTies) {
-  const BlockHeader a1 = make_header(1, genesis_.hash(), 10);
-  const BlockHeader b1 = make_header(1, genesis_.hash(), 10, 1);
-  tree_.insert(a1);
-  EXPECT_FALSE(tree_.insert(b1).has_value());
-  EXPECT_EQ(tree_.best_tip(), a1.hash());
-}
-
-TEST_F(ForkTreeTest, BestChainGenesisFirst) {
-  const BlockHeader a1 = make_header(1, genesis_.hash(), 10);
-  const BlockHeader a2 = make_header(2, a1.hash(), 10);
-  tree_.insert(a1);
-  tree_.insert(a2);
-  const auto chain = tree_.best_chain();
-  ASSERT_EQ(chain.size(), 3u);
-  EXPECT_EQ(chain[0].hash(), genesis_.hash());
-  EXPECT_EQ(chain[2].hash(), a2.hash());
-}
-
-TEST_F(ForkTreeTest, RejectsBadInserts) {
-  const BlockHeader orphan = make_header(1, Hash256::from_seed(1), 10);
-  EXPECT_THROW(tree_.insert(orphan), ValidationError);
-
-  const BlockHeader wrong_height = make_header(5, genesis_.hash(), 10);
-  EXPECT_THROW(tree_.insert(wrong_height), ValidationError);
-
-  const BlockHeader b1 = make_header(1, genesis_.hash(), 10);
-  tree_.insert(b1);
-  EXPECT_THROW(tree_.insert(b1), ValidationError);  // duplicate
-
-  EXPECT_THROW(ForkTree(make_header(3, Hash256{}, 1)), UsageError);
-}
-
-// ----------------------------------------------------------------- network
-
-TEST(Network, ZeroDelayProducesNoForks) {
-  NetworkConfig config;
-  config.propagation_delay = 0.0;
-  config.block_interval = 10.0;
-  NetworkSimulator sim(1, config);
-  const NetworkStats stats = sim.run(200);
-  EXPECT_EQ(stats.blocks_found, 200u);
-  EXPECT_EQ(stats.stale_blocks, 0u);
-  EXPECT_EQ(stats.reorgs, 0u);
-  EXPECT_TRUE(stats.converged);
-}
-
-TEST(Network, MeanIntervalTracksTarget) {
-  NetworkConfig config;
-  config.propagation_delay = 0.0;
-  config.block_interval = 50.0;
-  NetworkSimulator sim(2, config);
-  const NetworkStats stats = sim.run(500);
-  EXPECT_NEAR(stats.mean_interval, 50.0, 8.0);
-}
-
-TEST(Network, StaleRateGrowsWithDelay) {
-  // The classic trade-off: stale rate ~ delay / interval.
-  auto stale_rate_at = [](double delay) {
-    NetworkConfig config;
-    config.propagation_delay = delay;
-    config.block_interval = 100.0;
-    NetworkSimulator sim(3, config);
-    return sim.run(600).stale_rate;
-  };
-  const double none = stale_rate_at(0.0);
-  const double small = stale_rate_at(5.0);
-  const double large = stale_rate_at(40.0);
-  EXPECT_EQ(none, 0.0);
-  EXPECT_GT(small, 0.0);
-  EXPECT_GT(large, small);
-  // Ballpark of the delay/interval ratio.
-  EXPECT_NEAR(small, 0.05, 0.05);
-  EXPECT_GT(large, 0.15);
-}
-
-TEST(Network, DelayCausesReorgsButHeightsConverge) {
-  NetworkConfig config;
-  config.propagation_delay = 20.0;
-  config.block_interval = 100.0;
-  NetworkSimulator sim(4, config);
-  const NetworkStats stats = sim.run(400);
-  EXPECT_GT(stats.reorgs, 0u);
-  EXPECT_GE(stats.max_reorg_depth, 1u);
-  // After draining, at most an unresolved last-block tie remains.
-  EXPECT_GE(stats.blocks_found, stats.stale_blocks);
-}
-
-TEST(Network, WinsProportionalToHashrate) {
-  NetworkConfig config;
-  config.hashrate = {3.0, 1.0, 1.0, 1.0};  // miner 0 holds half the power
-  config.propagation_delay = 0.0;
-  config.block_interval = 10.0;
-  NetworkSimulator sim(5, config);
-  const NetworkStats stats = sim.run(1000);
-  std::uint64_t total_wins = 0;
-  for (std::uint64_t w : stats.wins) total_wins += w;
-  EXPECT_NEAR(static_cast<double>(stats.wins[0]) / total_wins, 0.5, 0.06);
-}
-
-TEST(Network, RejectsBadConfig) {
-  NetworkConfig empty;
-  empty.hashrate = {};
-  EXPECT_THROW(NetworkSimulator(1, empty), UsageError);
-
-  NetworkConfig negative;
-  negative.hashrate = {1.0, -1.0};
-  EXPECT_THROW(NetworkSimulator(1, negative), UsageError);
-
-  NetworkConfig bad_interval;
-  bad_interval.block_interval = 0.0;
-  EXPECT_THROW(NetworkSimulator(1, bad_interval), UsageError);
 }
 
 }  // namespace
