@@ -6,15 +6,15 @@
 // work, running for real on worker threads.
 //
 // Pass --trace[=file] (or set TXCONC_TRACE=<file>) to record every span
-// to a Chrome trace_event JSON, loadable in Perfetto / chrome://tracing,
-// and to print the metrics registry afterwards. Pass --engine=<name> to
-// run only one registered engine (sequential always runs as the oracle).
+// to a Chrome trace_event JSON, loadable in Perfetto / chrome://tracing.
+// Pass --engine=<name> to run only one registered engine (sequential
+// always runs as the oracle). Exits 1 if any engine's state digest
+// differs from sequential's.
 // tools/txconc_explain profiles such a trace, or replays the engines
 // itself to explain each block's stall attribution and contention.
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 
 #include "analysis/report.h"
 #include "exec/executor.h"
@@ -44,8 +44,7 @@ int usage(const char* argv0, int code) {
       << "usage: " << argv0
       << " [--trace[=file]] [--engine=<name>]\n"
       << "  --trace[=file]   write a Chrome trace (default file:\n"
-      << "                   parallel_executor_trace.json) and print the\n"
-      << "                   metrics registry\n"
+      << "                   parallel_executor_trace.json)\n"
       << "  --engine=<name>  run only <name> (plus the sequential oracle).\n"
       << "                   registered engines: " << registry_names()
       << "\n";
@@ -103,6 +102,7 @@ int main(int argc, char** argv) {
 
   Hash256 expected;
   std::size_t block_size = 0;
+  std::vector<std::string> mismatched;
   for (const auto& engine : engines) {
     exec::HistoryReplayer replayer(profile, 2718, skip);
     if (tracing) replayer.set_obs(&obs::global_scope());
@@ -110,6 +110,7 @@ int main(int argc, char** argv) {
     block_size = report.num_txs;
     const Hash256 digest = replayer.state().digest();
     if (engine->name() == "sequential") expected = digest;
+    if (digest != expected) mismatched.push_back(report.executor);
     table.row({report.executor, std::to_string(report.sequential_txs),
                std::to_string(report.executions),
                analysis::fmt_double(report.simulated_units, 1),
@@ -142,10 +143,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::cout << "\nwrote Chrome trace to " << trace_path
-              << " (open in Perfetto or chrome://tracing)\n\nmetrics:\n";
-    std::ostringstream metrics;
-    obs::Registry::global().write_csv(metrics);
-    std::cout << metrics.str();
+              << " (open in Perfetto or chrome://tracing)\n";
   }
-  return 0;
+  for (const std::string& name : mismatched) {
+    std::cerr << "state digest mismatch: " << name
+              << " differs from sequential\n";
+  }
+  return mismatched.empty() ? 0 : 1;
 }

@@ -222,7 +222,7 @@ fi
 # Gates hardware-portable ratios (wall_speedup / simulated_speedup) from a
 # fresh fast-mode run against the committed baseline plus the absolute
 # tracer, attribution, contention and coverage invariants, then proves
-# three of the checks can fail (see DESIGN.md §12.3 for the catalogue).
+# three of the checks can fail (see DESIGN.md §12.2 for the catalogue).
 if lane_enabled bench; then
   echo "== lane: bench =="
   if [ ! -x build/bench/ablation_engines ]; then

@@ -18,6 +18,18 @@ std::uint64_t intrinsic_gas(const AccountTx& tx, const RuntimeConfig& config) {
 
 }  // namespace
 
+std::optional<std::uint64_t> upfront_cost(const AccountTx& tx,
+                                          const RuntimeConfig& config) {
+  std::uint64_t max_fee = 0;
+  std::uint64_t total = 0;
+  if ((config.charge_fees &&
+       __builtin_mul_overflow(tx.gas_limit, tx.gas_price, &max_fee)) ||
+      __builtin_add_overflow(tx.value, max_fee, &total)) {
+    return std::nullopt;
+  }
+  return total;
+}
+
 const char* precheck_transaction(const State& state, const AccountTx& tx,
                                  const RuntimeConfig& config) {
   // Mirrors apply_transaction's validity checks, in order, without
@@ -25,9 +37,8 @@ const char* precheck_transaction(const State& state, const AccountTx& tx,
   if (config.enforce_nonce && state.nonce(tx.from) != tx.nonce) {
     return "bad nonce";
   }
-  const std::uint64_t max_fee =
-      config.charge_fees ? tx.gas_limit * tx.gas_price : 0;
-  if (state.balance(tx.from) < tx.value + max_fee) {
+  const std::optional<std::uint64_t> cost = upfront_cost(tx, config);
+  if (!cost || state.balance(tx.from) < *cost) {
     return "sender cannot cover value plus max fee";
   }
   if (tx.gas_limit < intrinsic_gas(tx, config)) {
@@ -47,9 +58,8 @@ void apply_transaction_into(State& state, const AccountTx& tx,
         std::to_string(state.nonce(tx.from)) + ", got " +
         std::to_string(tx.nonce));
   }
-  const std::uint64_t max_fee =
-      config.charge_fees ? tx.gas_limit * tx.gas_price : 0;
-  if (state.balance(tx.from) < tx.value + max_fee) {
+  const std::optional<std::uint64_t> cost = upfront_cost(tx, config);
+  if (!cost || state.balance(tx.from) < *cost) {
     throw ValidationError("sender cannot cover value plus max fee");
   }
   const std::uint64_t intrinsic = intrinsic_gas(tx, config);
@@ -80,7 +90,7 @@ void apply_transaction_into(State& state, const AccountTx& tx,
 
   state.set_nonce(tx.from, state.nonce(tx.from) + 1);
   // Charge the full fee upfront; refund after execution.
-  if (config.charge_fees) state.debit(tx.from, max_fee);
+  if (config.charge_fees) state.debit(tx.from, *cost - tx.value);
 
   // Changes beyond this snapshot are rolled back on execution failure,
   // while the nonce bump and fee survive.

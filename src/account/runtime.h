@@ -4,13 +4,15 @@
 // speculative, group-scheduled) uses to run one transaction against a State.
 #pragma once
 
+#include <optional>
+
 #include "account/state.h"
 #include "account/types.h"
 #include "account/vm.h"
 #include "obs/context.h"
 
 namespace txconc::obs {
-struct Scope;  // tracer + metrics bundle, see obs/scope.h
+struct Scope;  // tracer + contention bundle, see obs/scope.h
 }
 
 namespace txconc::account {
@@ -63,9 +65,9 @@ struct RuntimeConfig {
   /// Observe execution attempts (see AccessRecorder). Receipts always
   /// carry the storage/balance read-write sets the recorder sees.
   const AccessRecorder* recorder = nullptr;
-  /// Observability sink (span tracer + metrics registry, see obs/scope.h).
+  /// Observability sink (span tracer + contention sink, see obs/scope.h).
   /// Null is the zero-cost disabled path; executors emit their per-phase
-  /// and per-transaction spans and block metrics through it.
+  /// and per-transaction spans through it.
   const obs::Scope* obs = nullptr;
   /// Causal trace context of the enclosing block (see obs/context.h).
   /// Executors start their block/phase spans as children of this, so a
@@ -108,6 +110,12 @@ void apply_transaction_into(State& state, const AccountTx& tx,
 /// allocations. Must stay in lockstep with apply_transaction's checks.
 const char* precheck_transaction(const State& state, const AccountTx& tx,
                                  const RuntimeConfig& config);
+
+/// The balance a sender must hold before `tx` runs: its value plus the
+/// maximum fee (gas_limit * gas_price when fees are charged). nullopt when
+/// that sum overflows uint64, which no balance can cover.
+std::optional<std::uint64_t> upfront_cost(const AccountTx& tx,
+                                          const RuntimeConfig& config);
 
 /// Install a contract at an address without a creation transaction
 /// (genesis-style bootstrap used by tests and the workload generator).

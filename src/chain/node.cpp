@@ -1,6 +1,6 @@
 #include "chain/node.h"
 
-#include <chrono>
+#include <optional>
 
 #include "obs/scope.h"
 #include "obs/names.h"
@@ -16,20 +16,6 @@ namespace {
 obs::Tracer* node_tracer(const AccountNodeConfig& config) {
   obs::Tracer* scoped = obs::tracer(config.runtime.obs);
   return scoped != nullptr ? scoped : &obs::Tracer::global();
-}
-
-/// The node's metrics sink: scope registry when set, otherwise the global
-/// registry while the global tracer is enabled, else null.
-obs::Registry* node_registry(const AccountNodeConfig& config) {
-  obs::Registry* scoped = obs::metrics(config.runtime.obs);
-  if (scoped != nullptr) return scoped;
-  return obs::Tracer::global().enabled() ? &obs::Registry::global() : nullptr;
-}
-
-double elapsed_us(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start)
-      .count();
 }
 
 }  // namespace
@@ -65,9 +51,9 @@ void AccountNode::submit_transaction(account::AccountTx tx) {
   if (config_.runtime.enforce_nonce && tx.nonce < state_.nonce(tx.from)) {
     throw ValidationError("nonce already used");
   }
-  const std::uint64_t max_fee =
-      config_.runtime.charge_fees ? tx.gas_limit * tx.gas_price : 0;
-  if (state_.balance(tx.from) < tx.value + max_fee) {
+  const std::optional<std::uint64_t> cost =
+      account::upfront_cost(tx, config_.runtime);
+  if (!cost || state_.balance(tx.from) < *cost) {
     throw ValidationError("sender cannot cover value plus max fee");
   }
   const std::uint64_t intrinsic =
@@ -102,7 +88,6 @@ std::vector<account::Receipt> AccountNode::execute(
 Block<account::AccountTx> AccountNode::produce_block(
     std::uint64_t timestamp, obs::TraceContext* trace_out) {
   const MutexLock lock(mu_);
-  const auto start = std::chrono::steady_clock::now();
   obs::Tracer* const tracer = node_tracer(config_);
   const obs::ThreadProcessScope proc(trace_process_);
   // Root of the block's causal story: everything downstream — the relay
@@ -164,8 +149,13 @@ Block<account::AccountTx> AccountNode::produce_block(
     }
   }
 
-  Block<account::AccountTx> block =
-      make_block<account::AccountTx>(prev, std::move(included), timestamp);
+  Block<account::AccountTx> block;
+  {
+    const obs::CausalSpan span(tracer, obs::names::kSpanTxRoot,
+                               obs::names::kCatChain, block_span.context());
+    block = make_block<account::AccountTx>(prev, std::move(included),
+                                           timestamp);
+  }
   for (const auto& r : receipts) {
     block.header.gas_used += r.gas_used;
   }
@@ -176,11 +166,6 @@ Block<account::AccountTx> AccountNode::produce_block(
   }
   state_.flush_journal();
   ledger_.append(block);
-  if (obs::Registry* const registry = node_registry(config_)) {
-    registry->counter(obs::names::kMetricNodeBlocksProduced).add(1);
-    registry->counter(obs::names::kMetricNodeTxsIncluded).add(block.transactions.size());
-    registry->histogram(obs::names::kMetricNodeProduceUs).observe(elapsed_us(start));
-  }
   // Fork the context inside the producing span so the flow arrow starts
   // here and the relay sites just forward it.
   if (trace_out != nullptr) *trace_out = block_span.fork();
@@ -190,15 +175,22 @@ Block<account::AccountTx> AccountNode::produce_block(
 void AccountNode::receive_block(const Block<account::AccountTx>& block,
                                 const obs::TraceContext& trace) {
   const MutexLock lock(mu_);
-  const auto start = std::chrono::steady_clock::now();
   obs::Tracer* const tracer = node_tracer(config_);
   const obs::ThreadProcessScope proc(trace_process_);
   const obs::CausalSpan block_span(
       tracer, obs::names::kSpanReceiveBlock, obs::names::kCatChain, trace,
       static_cast<std::int64_t>(block.header.height));
-  // Structural rules before anything mutates; the append below trusts
-  // them.
-  ledger_.check(block);
+  // Structural rules and the gas limit before anything mutates; the append
+  // below trusts them, and the gas commitment checked after execution
+  // equals the header's gas_used.
+  {
+    const obs::CausalSpan span(tracer, obs::names::kSpanTxRoot,
+                               obs::names::kCatChain, block_span.context());
+    ledger_.check(block);
+  }
+  if (block.header.gas_used > config_.block_gas_limit) {
+    throw ValidationError("block exceeds the gas limit");
+  }
 
   // Re-execute and verify the gas commitment; roll back on any failure.
   const account::Snapshot pre_block = state_.snapshot();
@@ -217,13 +209,13 @@ void AccountNode::receive_block(const Block<account::AccountTx>& block,
     if (gas_used != block.header.gas_used) {
       throw ValidationError("gas_used commitment mismatch");
     }
-    if (gas_used > config_.block_gas_limit) {
-      throw ValidationError("block exceeds the gas limit");
-    }
-    if (config_.commit_state_root &&
-        account::build_state_trie(state_).root() !=
-            block.header.state_root) {
-      throw ValidationError("state root commitment mismatch");
+    if (config_.commit_state_root) {
+      const obs::CausalSpan span(tracer, obs::names::kSpanStateRoot,
+                                 obs::names::kCatChain, block_span.context());
+      if (account::build_state_trie(state_).root() !=
+          block.header.state_root) {
+        throw ValidationError("state root commitment mismatch");
+      }
     }
   } catch (...) {
     state_.revert(pre_block);
@@ -234,11 +226,6 @@ void AccountNode::receive_block(const Block<account::AccountTx>& block,
                                block_span.context());
     state_.flush_journal();
     ledger_.append(block);
-  }
-  if (obs::Registry* const registry = node_registry(config_)) {
-    registry->counter(obs::names::kMetricNodeBlocksReceived).add(1);
-    registry->counter(obs::names::kMetricNodeTxsExecuted).add(block.transactions.size());
-    registry->histogram(obs::names::kMetricNodeReceiveUs).observe(elapsed_us(start));
   }
 }
 

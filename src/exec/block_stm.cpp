@@ -494,12 +494,6 @@ class BlockStmExecutor final : public BlockExecutor {
         obs::AbortReason::kBlockStmValidationFail)] =
         // ordering: relaxed — quiescent read-back, as above.
         aborts_.load(std::memory_order_relaxed);
-    if (frame.registry() != nullptr) {
-      frame.registry()
-          ->counter(obs::names::kMetricExecBlockStmValidations)
-          // ordering: relaxed — quiescent read-back, as above.
-          .add(validations_.load(std::memory_order_relaxed));
-    }
     return frame.finish(std::ceil(static_cast<double>(report.executions) /
                                   pool_.size()));
   }
@@ -581,7 +575,6 @@ class BlockStmExecutor final : public BlockExecutor {
     // ordering: relaxed — statistical counters reset before the workers
     // start; the parallel_for hand-off publishes them.
     executions_.store(0, std::memory_order_relaxed);
-    validations_.store(0, std::memory_order_relaxed);   // ordering: ditto
     aborts_.store(0, std::memory_order_relaxed);        // ordering: ditto
     estimate_aborts_.store(0, std::memory_order_relaxed);  // ordering: ditto
   }
@@ -815,8 +808,6 @@ class BlockStmExecutor final : public BlockExecutor {
     // index resolve to exactly one abort.
     MutexLock lock(slot.mu);
     if (slot.status != TxSlot::Status::kExecuted) return;
-    // ordering: relaxed — statistical counter, read quiescently.
-    validations_.fetch_add(1, std::memory_order_relaxed);
     bool valid = true;
     const MvKey* bad = nullptr;
     for (const ReadRecord& rec : slot.reads) {
@@ -903,7 +894,6 @@ class BlockStmExecutor final : public BlockExecutor {
   std::atomic<std::uint64_t> rewind_cnt_{0};  // monotone within a block
   std::atomic<bool> done_{false};
   std::atomic<std::uint64_t> executions_{0};
-  std::atomic<std::uint64_t> validations_{0};
   std::atomic<std::uint64_t> aborts_{0};
   std::atomic<std::uint64_t> estimate_aborts_{0};
 };

@@ -66,8 +66,8 @@ struct ExecutionReport {
   std::vector<std::uint32_t> tx_incarnations;
   /// Discarded-work tally under the uniform abort taxonomy
   /// (obs/contention.h): every engine counts why attempts were thrown
-  /// away, whether or not a contention sink is installed. Folded into the
-  /// exec.abort.* registry counters by record_block_metrics.
+  /// away, whether or not a contention sink is installed. txconc_explain
+  /// and bench_gate check it against the contention sink's tally.
   obs::AbortCounts abort_reasons{};
 };
 

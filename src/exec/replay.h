@@ -10,7 +10,7 @@
 #include "workload/account_workload.h"
 
 namespace txconc::obs {
-struct Scope;  // tracer + metrics bundle, see obs/scope.h
+struct Scope;  // tracer + contention bundle, see obs/scope.h
 }
 
 namespace txconc::exec {
@@ -75,8 +75,8 @@ class HistoryReplayer {
   /// Observe each block around its execution (nullptr disables).
   void set_block_observer(BlockObserver* observer) { observer_ = observer; }
 
-  /// Route an observability scope (tracer + metrics) into the replay
-  /// config; executors emit their spans and block metrics through it.
+  /// Route an observability scope (tracer + contention) into the replay
+  /// config; executors emit their spans through it.
   void set_obs(const obs::Scope* scope) { config_.obs = scope; }
 
  private:

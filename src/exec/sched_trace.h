@@ -1,20 +1,18 @@
 // The frame every executor's execute_block runs inside: the
 // scheduling-overhead recorder (diffs ThreadPool counters around one
 // block execution and splits the wall time into a concurrent and a serial
-// phase), the report-derived metric writes, and BlockFrame, which bundles
-// them with the root span. The sequential baseline passes a null pool so
-// its phase attribution flows through the exact same path as the
-// parallel engines (comparable breakdowns).
+// phase), and BlockFrame, which bundles it with the root span and the
+// report. The sequential baseline passes a null pool so its phase
+// attribution flows through the exact same path as the parallel engines
+// (comparable breakdowns).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <string>
 #include <utility>
 
 #include "exec/executor.h"
 #include "exec/thread_pool.h"
-#include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
@@ -74,44 +72,8 @@ class SchedTrace {
   double extra_phase2_ = 0.0;
 };
 
-/// Fold one finished block report into the metrics registry: the only
-/// writer of report-derived series (BlockFrame::finish calls it for every
-/// engine). Null registry = metrics disabled.
-inline void record_block_metrics(obs::Registry* registry,
-                                 const ExecutionReport& report) {
-  if (registry == nullptr) return;
-  registry->counter(obs::names::kMetricExecBlocks).add(1);
-  registry->counter(obs::names::kMetricExecTxs).add(report.num_txs);
-  registry->counter(obs::names::kMetricExecExecutions)
-      .add(report.executions);
-  registry->counter(obs::names::kMetricExecSequentialTxs)
-      .add(report.sequential_txs);
-  registry->histogram(obs::names::kMetricExecBlockWallUs)
-      .observe(report.wall_seconds * 1e6);
-  registry->histogram(obs::names::kMetricExecPhase1Us)
-      .observe(report.sched.phase1_seconds * 1e6);
-  registry->histogram(obs::names::kMetricExecPhase2Us)
-      .observe(report.sched.phase2_seconds * 1e6);
-  registry->histogram(obs::names::kMetricExecSeqBinTxs)
-      .observe(static_cast<double>(report.sequential_txs));
-  if (!report.tx_attempts.empty()) {
-    obs::Histogram& attempts =
-        registry->histogram(obs::names::kMetricExecAttemptsPerTx);
-    for (const std::uint32_t a : report.tx_attempts) {
-      attempts.observe(static_cast<double>(a));
-    }
-  }
-  for (std::size_t r = 0; r < obs::kNumAbortReasons; ++r) {
-    if (report.abort_reasons[r] == 0) continue;
-    registry
-        ->counter(std::string(obs::names::kMetricExecAbortPrefix) +
-                  obs::abort_reason_name(static_cast<obs::AbortReason>(r)))
-        .add(report.abort_reasons[r]);
-  }
-}
-
 /// The shared frame of one execute_block call, built first thing by every
-/// engine. Construction resolves the tracer and registry from
+/// engine. Construction resolves the tracer from
 /// `config.obs`, relabels the calling thread as the engine's trace
 /// process, opens the `execute_block` root span, starts the SchedTrace
 /// over `pool` (null for pool-less engines) and emits the `threads`
@@ -121,7 +83,7 @@ inline void record_block_metrics(obs::Registry* registry,
 ///
 /// The engine then opens its phases as children of the root via phase(),
 /// calls open_report() inside its first phase span and finish() inside a
-/// `commit` span, so the receipts allocation and the report/metric tail
+/// `commit` span, so the receipts allocation and the report tail
 /// are attributed to a phase instead of the profiler's `uncovered`.
 class BlockFrame {
  public:
@@ -131,7 +93,6 @@ class BlockFrame {
       : executor_(executor),
         num_txs_(num_txs),
         tracer_(obs::tracer(config.obs)),
-        registry_(obs::metrics(config.obs)),
         process_(executor),
         root_(tracer_, obs::names::kSpanExecuteBlock, obs::names::kCatExec,
               config.trace, static_cast<std::int64_t>(num_txs)),
@@ -141,7 +102,6 @@ class BlockFrame {
   }
 
   obs::Tracer* tracer() const { return tracer_; }
-  obs::Registry* registry() const { return registry_; }
   SchedTrace& sched() { return sched_; }
   ExecutionReport& report() { return report_; }
 
@@ -163,7 +123,7 @@ class BlockFrame {
 
   /// Close the report: the unit-cost time and the speedup it implies
   /// (num_txs / simulated_units, 1.0 for an empty block), the wall time
-  /// and phase split, and the block metrics. The engine has filled
+  /// and phase split. The engine has filled
   /// sequential_txs, executions and its abort tallies by now.
   ExecutionReport finish(double simulated_units) {
     report_.simulated_units = simulated_units;
@@ -172,7 +132,6 @@ class BlockFrame {
             ? static_cast<double>(num_txs_) / simulated_units
             : 1.0;
     report_.wall_seconds = sched_.finish(report_.sched);
-    record_block_metrics(registry_, report_);
     return std::move(report_);
   }
 
@@ -180,7 +139,6 @@ class BlockFrame {
   const char* executor_;  // string literal; doubles as the trace process
   std::size_t num_txs_;
   obs::Tracer* tracer_;
-  obs::Registry* registry_;
   obs::ThreadProcessScope process_;
   obs::CausalSpan root_;
   SchedTrace sched_;

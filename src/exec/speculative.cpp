@@ -5,7 +5,6 @@
 // the steady-state per-transaction path — rebase overlay, execute, export
 // a write log, aggregate conflicts, batch-commit — performs no heap
 // allocation (asserted by tests/hotpath_test.cpp).
-#include <chrono>
 #include <memory>
 
 #include "account/state.h"
@@ -39,43 +38,25 @@ struct SlotAgg {
 
 /// Phase 2 of the two-phase engines: re-run the binned (`conflicted`)
 /// transactions sequentially, in block order, against the committed
-/// state, then flush the journal. The conflict stall is the apply work
-/// only — summed per transaction so span construction and per-tx tracer
-/// overhead stay out of the histogram, mirroring the sequential
-/// executor's phase-2 timing. Returns the bin size.
+/// state, then flush the journal. Returns the bin size.
 std::size_t run_sequential_bin(BlockFrame& frame, account::StateDb& state,
                                std::span<const account::AccountTx> txs,
                                const account::RuntimeConfig& config,
                                const std::vector<unsigned char>& conflicted,
                                account::AccessTracker& tracker) {
   obs::Tracer* const tracer = frame.tracer();
-  obs::Registry* const registry = frame.registry();
   ExecutionReport& report = frame.report();
   const obs::CausalSpan span = frame.phase(obs::names::kSpanSeqBin);
-  double stall_seconds = 0.0;
   std::size_t bin = 0;
   for (std::size_t i = 0; i < txs.size(); ++i) {
     if (!conflicted[i]) continue;
     ++bin;
     const TXCONC_SPAN_T(tracer, obs::names::kSpanTx, obs::names::kCatExec,
                         static_cast<std::int64_t>(i));
-    if (registry != nullptr) {
-      const auto apply_start = std::chrono::steady_clock::now();
-      account::apply_transaction_into(state, txs[i], config,
-                                      report.receipts[i], tracker);
-      stall_seconds += std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - apply_start)
-                           .count();
-    } else {
-      account::apply_transaction_into(state, txs[i], config,
-                                      report.receipts[i], tracker);
-    }
+    account::apply_transaction_into(state, txs[i], config,
+                                    report.receipts[i], tracker);
   }
   state.flush_journal();
-  if (registry != nullptr) {
-    registry->histogram(obs::names::kMetricExecConflictStallUs)
-        .observe(stall_seconds * 1e6);
-  }
   return bin;
 }
 

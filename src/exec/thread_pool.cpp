@@ -1,10 +1,8 @@
 #include "exec/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/error.h"
-#include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/trace.h"
 
@@ -166,8 +164,6 @@ void ThreadPool::parallel_for(std::size_t count,
 void ThreadPool::parallel_for_slots(std::size_t count, const SlotFn& fn,
                                     std::size_t grain) {
   if (count == 0) return;
-  // ordering: relaxed — statistical counter, read via stats() only.
-  parallel_for_calls_.fetch_add(1, std::memory_order_relaxed);
 
   const std::size_t workers = size();
   if (grain == 0) {
@@ -227,7 +223,6 @@ ThreadPoolStats ThreadPool::stats() const {
   ThreadPoolStats s;
   // ordering: relaxed — monotone stats snapshot; no data rides on it.
   s.tasks_run = tasks_run_.load(std::memory_order_relaxed);
-  s.parallel_for_calls = parallel_for_calls_.load(std::memory_order_relaxed);
   // ordering: relaxed — as above.
   s.grains_total = grains_total_.load(std::memory_order_relaxed);
   s.grains_caller_run = grains_caller_run_.load(std::memory_order_relaxed);
@@ -236,14 +231,6 @@ ThreadPoolStats ThreadPool::stats() const {
 
 void ThreadPool::worker_loop(unsigned worker_index) {
   obs::set_thread_label(label_, static_cast<int>(worker_index));
-  // The gap histogram attributes scheduler idleness (time between
-  // finishing one task and dequeuing the next); only recorded while the
-  // global tracer is enabled so the quiescent path stays clock-free.
-  // Caller-run grains never feed it: they are not dequeues, and the
-  // submitting thread was busy, not idle (see the pinned-count test).
-  obs::Histogram* gap_histogram = nullptr;
-  std::chrono::steady_clock::time_point idle_since;
-  bool idle_since_valid = false;
   for (;;) {
     std::function<void()> task;
     {
@@ -258,25 +245,9 @@ void ThreadPool::worker_loop(unsigned worker_index) {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    if (obs::Tracer::global().enabled()) {
-      const auto now = std::chrono::steady_clock::now();
-      if (idle_since_valid) {
-        if (gap_histogram == nullptr) {
-          gap_histogram =
-              &obs::Registry::global().histogram(
-                  obs::names::kMetricPoolDequeueGapUs);
-        }
-        gap_histogram->observe(
-            std::chrono::duration<double, std::micro>(now - idle_since)
-                .count());
-      }
+    {
       TXCONC_SPAN(obs::names::kSpanPoolTask, obs::names::kCatPool);
       task();
-      idle_since = std::chrono::steady_clock::now();
-      idle_since_valid = true;
-    } else {
-      task();
-      idle_since_valid = false;
     }
     // ordering: relaxed — statistical counter, read via stats() only.
     tasks_run_.fetch_add(1, std::memory_order_relaxed);

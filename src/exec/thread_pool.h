@@ -21,7 +21,6 @@ struct ThreadPoolStats {
   /// Queue tasks executed by worker threads (submit() tasks plus the
   /// per-worker helper tasks parallel_for enqueues).
   std::uint64_t tasks_run = 0;
-  std::uint64_t parallel_for_calls = 0;
   /// Contiguous index grains whose body actually ran, across all
   /// parallel_for calls. Grains claimed after a failure was recorded are
   /// skipped and NOT counted (they did no work).
@@ -142,7 +141,6 @@ class ThreadPool {
   bool stopping_ GUARDED_BY(mutex_) = false;
 
   std::atomic<std::uint64_t> tasks_run_{0};
-  std::atomic<std::uint64_t> parallel_for_calls_{0};
   std::atomic<std::uint64_t> grains_total_{0};
   std::atomic<std::uint64_t> grains_caller_run_{0};
 };

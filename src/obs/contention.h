@@ -41,8 +41,8 @@ namespace txconc::obs {
 /// Why an execution attempt's work was discarded, uniform across engines.
 /// Extending: add the enumerator before kCount, name it in
 /// abort_reason_name(), record it at the engine's abort site (report +
-/// sink), and the exec.abort.* counters, trace instants, CLI breakdowns
-/// and bench artifact pick it up automatically — see DESIGN.md §17.4.
+/// sink), and the trace instants, CLI breakdowns and bench artifact pick
+/// it up automatically — see DESIGN.md §17.4.
 enum class AbortReason : std::uint8_t {
   /// speculative(all-conflicted): tx touched a slot with a writer and
   /// another accessor in phase 1, so it joins the sequential bin.
@@ -66,7 +66,7 @@ inline constexpr std::size_t kNumAbortReasons =
     static_cast<std::size_t>(AbortReason::kCount);
 
 /// Stable snake_case identifier ("spec_conflict", ...); doubles as the
-/// exec.abort.<name> counter suffix and the JSON key.
+/// JSON key.
 const char* abort_reason_name(AbortReason reason);
 
 /// Per-reason abort tallies, indexed by AbortReason.
@@ -192,8 +192,8 @@ class SpaceSavingSketch {
 
 // -------------------------------------------------------------- sink
 
-/// Thread-safe contention event collector, carried next to the tracer and
-/// metrics registry in obs::Scope. Writers (pool workers inside engines
+/// Thread-safe contention event collector, carried next to the tracer in
+/// obs::Scope. Writers (pool workers inside engines
 /// and the access-recorder hook) hash their thread id onto one of a few
 /// mutex-guarded lanes, each holding a private touch sketch, abort sketch
 /// and abort tally — near-zero contention, no registration, and the hot

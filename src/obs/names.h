@@ -1,4 +1,4 @@
-// Central registry of span / instant / metric name literals.
+// Central registry of span / instant name literals.
 //
 // The trace-driven profiler (obs/critpath.h) reconstructs engine behavior
 // from span NAMES: a renamed emitter would silently fall into the
@@ -53,43 +53,17 @@ inline constexpr const char* kEvThreads = "threads";
 /// Block-STM reader suspended on an ESTIMATE marker; arg = blocking tx.
 inline constexpr const char* kEvSuspend = "suspend";
 /// One discarded execution attempt at an engine abort site; arg = tx
-/// index. The abort reason lands in the exec.abort.* counters and the
-/// contention sink's key attribution (obs/contention.h).
+/// index. The abort reason lands in the report's abort_reasons tally and
+/// the contention sink's key attribution (obs/contention.h).
 inline constexpr const char* kEvAbort = "abort";
 
 // ----------------------------------------------------------- chain spans
 inline constexpr const char* kSpanProduceBlock = "produce_block";
 inline constexpr const char* kSpanPack = "pack";
+/// The block's tx merkle root: built by make_block when producing,
+/// checked by Ledger::check when receiving.
+inline constexpr const char* kSpanTxRoot = "tx_root";
 inline constexpr const char* kSpanStateRoot = "state_root";
 inline constexpr const char* kSpanReceiveBlock = "receive_block";
-
-// -------------------------------------------------------------- metrics
-inline constexpr const char* kMetricExecBlocks = "exec.blocks";
-inline constexpr const char* kMetricExecTxs = "exec.txs";
-inline constexpr const char* kMetricExecExecutions = "exec.executions";
-inline constexpr const char* kMetricExecSequentialTxs =
-    "exec.sequential_txs";
-inline constexpr const char* kMetricExecBlockWallUs = "exec.block_wall_us";
-inline constexpr const char* kMetricExecPhase1Us = "exec.phase1_us";
-inline constexpr const char* kMetricExecPhase2Us = "exec.phase2_us";
-inline constexpr const char* kMetricExecSeqBinTxs = "exec.seq_bin_txs";
-inline constexpr const char* kMetricExecConflictStallUs =
-    "exec.conflict_stall_us";
-inline constexpr const char* kMetricExecAttemptsPerTx =
-    "exec.attempts_per_tx";
-inline constexpr const char* kMetricExecBlockStmValidations =
-    "exec.block_stm_validations";
-/// Per-reason abort counters: kMetricExecAbortPrefix +
-/// obs::abort_reason_name(reason), e.g. "exec.abort.spec_conflict".
-inline constexpr const char* kMetricExecAbortPrefix = "exec.abort.";
-inline constexpr const char* kMetricPoolDequeueGapUs = "pool.dequeue_gap_us";
-inline constexpr const char* kMetricNodeBlocksProduced =
-    "node.blocks_produced";
-inline constexpr const char* kMetricNodeTxsIncluded = "node.txs_included";
-inline constexpr const char* kMetricNodeProduceUs = "node.produce_us";
-inline constexpr const char* kMetricNodeBlocksReceived =
-    "node.blocks_received";
-inline constexpr const char* kMetricNodeTxsExecuted = "node.txs_executed";
-inline constexpr const char* kMetricNodeReceiveUs = "node.receive_us";
 
 }  // namespace txconc::obs::names

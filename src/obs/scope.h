@@ -1,13 +1,12 @@
 // The observability hook threaded through account::RuntimeConfig next to
 // the fault-injector and access-recorder hooks: a nullable bundle of the
-// tracer and metrics registry a block execution should report into.
+// tracer and contention sink a block execution should report into.
 //
 // A null Scope pointer (the default) is the null sink: the helpers below
 // return nullptr and every TXCONC_*_T macro site degrades to a relaxed
 // atomic load at most.
 #pragma once
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace txconc::obs {
@@ -16,7 +15,6 @@ class ContentionSink;  // hot-key / abort attribution, see obs/contention.h
 
 struct Scope {
   Tracer* tracer = nullptr;
-  Registry* metrics = nullptr;
   /// Contention explainer sink (null = disabled): engines feed abort
   /// attribution into it and the access-recorder hook feeds touches.
   ContentionSink* contention = nullptr;
@@ -26,17 +24,14 @@ struct Scope {
 inline Tracer* tracer(const Scope* scope) {
   return scope != nullptr ? scope->tracer : nullptr;
 }
-inline Registry* metrics(const Scope* scope) {
-  return scope != nullptr ? scope->metrics : nullptr;
-}
 inline ContentionSink* contention(const Scope* scope) {
   return scope != nullptr ? scope->contention : nullptr;
 }
 
-/// The default scope: global tracer + global registry. Benches and
-/// examples install this into RuntimeConfig when TXCONC_TRACE is set.
+/// The default scope: the global tracer. Benches and examples install
+/// this into RuntimeConfig when TXCONC_TRACE is set.
 inline const Scope& global_scope() {
-  static const Scope scope{&Tracer::global(), &Registry::global()};
+  static const Scope scope{&Tracer::global()};
   return scope;
 }
 

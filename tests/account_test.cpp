@@ -952,9 +952,20 @@ TEST(Precheck, StaysInLockstepWithApplyValidation) {
   cases.back().value = 10'000'000;  // cannot cover value + max fee
   cases.push_back(make_tx());
   cases.back().gas_limit = 1;  // below intrinsic cost
+  // The upfront cost past uint64 must not wrap to an affordable amount:
+  // both checks reject it.
+  const std::size_t first_overflow = cases.size();
+  cases.push_back(make_tx());
+  cases.back().gas_limit = 65536;  // max fee 65536 * 2^48 = 2^64
+  cases.back().gas_price = std::uint64_t{1} << 48;
+  cases.push_back(make_tx());
+  cases.back().value = ~std::uint64_t{0} - 5;  // value + max fee wraps
 
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const char* reason = precheck_transaction(db, cases[i], config);
+    if (i >= first_overflow) {
+      EXPECT_NE(reason, nullptr) << i;
+    }
     StateDb scratch = db;
     if (reason == nullptr) {
       EXPECT_NO_THROW(apply_transaction(scratch, cases[i], config)) << i;

@@ -6,7 +6,6 @@
 
 #include "common/ascii_plot.h"
 #include "common/bytes.h"
-#include "common/csv.h"
 #include "common/error.h"
 #include "common/fmt.h"
 #include "common/hash.h"
@@ -450,36 +449,6 @@ TEST(Bucketizer, RejectsOutOfRangeHeights) {
 TEST(Bucketizer, RejectsDegenerateConstruction) {
   EXPECT_THROW(Bucketizer(0, 0, 10), UsageError);
   EXPECT_THROW(Bucketizer(4, 10, 5), UsageError);
-}
-
-// ----------------------------------------------------------------------- csv
-
-TEST(Csv, WritesHeaderAndRows) {
-  std::ostringstream out;
-  CsvWriter csv(out);
-  csv.header({"a", "b"});
-  csv.row(std::vector<std::string>{"1", "two"});
-  csv.row(std::vector<double>{3.5, 4.0});
-  EXPECT_EQ(out.str(), "a,b\n1,two\n3.5,4\n");
-  EXPECT_EQ(csv.rows_written(), 2u);
-}
-
-TEST(Csv, EscapesSpecialCharacters) {
-  std::ostringstream out;
-  CsvWriter csv(out);
-  csv.header({"x"});
-  csv.row(std::vector<std::string>{"a,b"});
-  csv.row(std::vector<std::string>{"say \"hi\""});
-  EXPECT_EQ(out.str(), "x\n\"a,b\"\n\"say \"\"hi\"\"\"\n");
-}
-
-TEST(Csv, EnforcesProtocol) {
-  std::ostringstream out;
-  CsvWriter csv(out);
-  EXPECT_THROW(csv.row(std::vector<std::string>{"1"}), UsageError);
-  csv.header({"a", "b"});
-  EXPECT_THROW(csv.header({"again"}), UsageError);
-  EXPECT_THROW(csv.row(std::vector<std::string>{"only-one"}), UsageError);
 }
 
 // ---------------------------------------------------------------------- plot

@@ -74,6 +74,13 @@ TEST_F(AccountNodeTest, RejectsInadmissibleTransactions) {
   account::AccountTx tiny = make_tx(addr(1), addr(3), 1, 1);
   tiny.gas_limit = 100;
   EXPECT_THROW(node_.submit_transaction(std::move(tiny)), ValidationError);
+  // Max fee past uint64: gas_limit * gas_price = 2^64 must not wrap to an
+  // affordable 0 (the refund would then mint the sender a fortune).
+  account::AccountTx overflow = make_tx(addr(1), addr(3), 1, 1);
+  overflow.gas_limit = 65536;
+  overflow.gas_price = std::uint64_t{1} << 48;
+  EXPECT_THROW(node_.submit_transaction(std::move(overflow)), ValidationError);
+  EXPECT_EQ(node_.mempool_size(), 0u);
 }
 
 TEST_F(AccountNodeTest, FutureNonceWaitsForPredecessor) {
@@ -198,6 +205,39 @@ TEST_F(AccountNodeTest, ReceiveBlockRejectsBackwardTimestampBeforeExecuting) {
 
   validator.receive_block(b1);
   EXPECT_EQ(validator.state().digest(), node_.state().digest());
+}
+
+// A header whose gas_used exceeds the block gas limit is refused before
+// the executor runs: no execution work is spent on a block that cannot
+// be appended.
+TEST_F(AccountNodeTest, ReceiveBlockRejectsOverLimitHeaderBeforeExecuting) {
+  node_.submit_transaction(make_tx(addr(1), addr(3), 1000, 0));
+  node_.submit_transaction(make_tx(addr(2), addr(3), 500, 0));
+  const auto block = node_.produce_block(1);
+  ASSERT_EQ(block.header.gas_used, 2u * 21000u);
+
+  AccountNodeConfig config;
+  config.block_gas_limit = 30000;
+  std::size_t executor_calls = 0;
+  AccountNode validator(
+      config, [&executor_calls](account::StateDb& state,
+                                std::span<const account::AccountTx> txs,
+                                const account::RuntimeConfig& runtime) {
+        ++executor_calls;
+        std::vector<account::Receipt> receipts;
+        for (const auto& tx : txs) {
+          receipts.push_back(account::apply_transaction(state, tx, runtime));
+        }
+        return receipts;
+      });
+  validator.genesis_fund(addr(1), 10'000'000);
+  validator.genesis_fund(addr(2), 10'000'000);
+  const Hash256 digest = validator.state().digest();
+
+  EXPECT_THROW(validator.receive_block(block), ValidationError);
+  EXPECT_EQ(executor_calls, 0u);
+  EXPECT_EQ(validator.state().digest(), digest);
+  EXPECT_EQ(validator.ledger().height(), 0u);
 }
 
 // produce_block refuses a timestamp below the tip's before it takes

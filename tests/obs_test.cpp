@@ -1,12 +1,10 @@
-// Observability layer tests: histogram bucket math against hand-computed
-// values, Chrome-trace JSON round-trips through the minimal validator,
-// the zero-allocation guarantee of the disabled tracer path, and
-// concurrent span emission from pool workers.
+// Observability layer tests: Chrome-trace JSON round-trips through the
+// minimal validator, the zero-allocation guarantee of the disabled tracer
+// path, and concurrent span emission from pool workers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -16,7 +14,6 @@
 
 #include "exec/thread_pool.h"
 #include "obs/context.h"
-#include "obs/metrics.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
 
@@ -48,100 +45,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace txconc::obs {
 namespace {
-
-// ------------------------------------------------------------ histogram
-
-TEST(Histogram, BucketBoundaries) {
-  // Bucket 0: everything below 1 (incl. negatives and NaN).
-  EXPECT_EQ(Histogram::bucket_index(0.0), 0u);
-  EXPECT_EQ(Histogram::bucket_index(0.999), 0u);
-  EXPECT_EQ(Histogram::bucket_index(-5.0), 0u);
-  EXPECT_EQ(Histogram::bucket_index(std::nan("")), 0u);
-  // Bucket i (1 <= i <= 63): [2^(i-1), 2^i).
-  EXPECT_EQ(Histogram::bucket_index(1.0), 1u);
-  EXPECT_EQ(Histogram::bucket_index(1.999), 1u);
-  EXPECT_EQ(Histogram::bucket_index(2.0), 2u);
-  EXPECT_EQ(Histogram::bucket_index(3.5), 2u);
-  EXPECT_EQ(Histogram::bucket_index(4.0), 3u);
-  EXPECT_EQ(Histogram::bucket_index(1024.0), 11u);
-  EXPECT_EQ(Histogram::bucket_index(std::ldexp(1.0, 62)), 63u);
-  // Bucket 64: [2^63, inf).
-  EXPECT_EQ(Histogram::bucket_index(std::ldexp(1.0, 63)), 64u);
-  EXPECT_EQ(Histogram::bucket_index(1e300), 64u);
-
-  EXPECT_EQ(Histogram::bucket_lower(0), 0.0);
-  EXPECT_EQ(Histogram::bucket_lower(1), 1.0);
-  EXPECT_EQ(Histogram::bucket_upper(1), 2.0);
-  EXPECT_EQ(Histogram::bucket_lower(10), 512.0);
-  EXPECT_EQ(Histogram::bucket_upper(10), 1024.0);
-}
-
-TEST(Histogram, QuantileInterpolatesWithinOneBucket) {
-  Histogram h;
-  for (int i = 0; i < 4; ++i) h.observe(1.0);
-  // All four samples sit in bucket 1 = [1, 2). Rank r = q * 4
-  // interpolates linearly: lo + (hi - lo) * r / 4.
-  EXPECT_DOUBLE_EQ(h.quantile(0.25), 1.25);
-  EXPECT_DOUBLE_EQ(h.quantile(0.50), 1.5);
-  EXPECT_DOUBLE_EQ(h.quantile(1.00), 2.0);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 1.0);
-  EXPECT_DOUBLE_EQ(h.sum(), 4.0);
-  EXPECT_EQ(h.count(), 4u);
-}
-
-TEST(Histogram, QuantileAcrossBuckets) {
-  Histogram h;
-  h.observe(0.5);   // bucket 0: [0, 1)
-  h.observe(3.0);   // bucket 2: [2, 4)
-  h.observe(10.0);  // bucket 4: [8, 16)
-  h.observe(100.0); // bucket 7: [64, 128)
-  // p50: target rank 2; bucket 0 holds 1, bucket 2 reaches 2 exactly at
-  // its upper edge -> 2 + (4 - 2) * (2 - 1) / 1 = 4.
-  EXPECT_DOUBLE_EQ(h.quantile(0.50), 4.0);
-  // p95: target rank 3.8 lands 0.8 into bucket 7 -> 64 + 64 * 0.8.
-  EXPECT_DOUBLE_EQ(h.quantile(0.95), 115.2);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
-  EXPECT_DOUBLE_EQ(h.sum(), 113.5);
-}
-
-TEST(Histogram, EmptyHistogramIsAllZero) {
-  const Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max(), 0.0);
-}
-
-// ------------------------------------------------------------- registry
-
-TEST(Registry, InstrumentsAreStableAndExported) {
-  Registry registry;
-  Counter& c = registry.counter("test.count");
-  c.add(3);
-  EXPECT_EQ(&registry.counter("test.count"), &c);  // stable reference
-  registry.gauge("test.gauge").set(2.5);
-  registry.histogram("test.hist").observe(5.0);
-  EXPECT_EQ(registry.size(), 3u);
-
-  std::ostringstream json;
-  registry.write_json(json);
-  EXPECT_NE(json.str().find("\"test.count\": 3"), std::string::npos);
-  EXPECT_NE(json.str().find("\"test.gauge\": 2.5"), std::string::npos);
-  EXPECT_NE(json.str().find("\"p50\""), std::string::npos);
-
-  std::ostringstream csv;
-  registry.write_csv(csv);
-  // Header plus one row per instrument.
-  std::size_t lines = 0;
-  std::string line;
-  std::istringstream in(csv.str());
-  while (std::getline(in, line)) ++lines;
-  EXPECT_EQ(lines, 4u);
-  EXPECT_NE(csv.str().find("counter,test.count"), std::string::npos);
-  EXPECT_NE(csv.str().find("histogram,test.hist"), std::string::npos);
-}
 
 // ---------------------------------------------------------------- tracer
 
@@ -426,10 +329,10 @@ TEST(CausalSpan, DisabledPathAllocatesNothingWhileForwardingContext) {
 
 TEST(Scope, NullScopeYieldsNullSinks) {
   EXPECT_EQ(obs::tracer(nullptr), nullptr);
-  EXPECT_EQ(obs::metrics(nullptr), nullptr);
+  EXPECT_EQ(obs::contention(nullptr), nullptr);
   const Scope& global = global_scope();
   EXPECT_EQ(obs::tracer(&global), &Tracer::global());
-  EXPECT_EQ(obs::metrics(&global), &Registry::global());
+  EXPECT_EQ(obs::contention(&global), nullptr);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "chain/node.h"
 #include "exec/executor.h"
 #include "obs/context.h"
-#include "obs/metrics.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
 
@@ -61,27 +60,22 @@ std::set<std::string> causal_names(const obs::TraceValidation& v) {
 struct LifecycleRun {
   obs::TraceValidation validation;
   std::uint64_t block_trace_id = 0;
-  std::uint64_t producer_registry_blocks = 0;
-  std::uint64_t validator_registry_blocks = 0;
 };
 
 LifecycleRun run_lifecycle(bool propagate) {
   obs::Tracer tracer;
-  obs::Registry producer_metrics;
-  obs::Registry validator_metrics;
-  const obs::Scope producer_scope{&tracer, &producer_metrics};
-  const obs::Scope validator_scope{&tracer, &validator_metrics};
+  const obs::Scope scope{&tracer};
   tracer.enable();
 
   // node-A produces; node-B re-executes the relayed block with a parallel
   // engine (the "remote re-execution" leg of the story).
   chain::AccountNodeConfig config_a;
   config_a.trace_label = "node-A";
-  config_a.runtime.obs = &producer_scope;
+  config_a.runtime.obs = &scope;
 
   chain::AccountNodeConfig config_b;
   config_b.trace_label = "node-B";
-  config_b.runtime.obs = &validator_scope;
+  config_b.runtime.obs = &scope;
 
   chain::AccountNode node_a(config_a);
   auto engine = exec::make_group_executor(2);
@@ -109,10 +103,6 @@ LifecycleRun run_lifecycle(bool propagate) {
   LifecycleRun run;
   run.validation = obs::validate_chrome_trace(out.str());
   run.block_trace_id = block_trace_id;
-  run.producer_registry_blocks =
-      producer_metrics.counter("node.blocks_produced").value();
-  run.validator_registry_blocks =
-      validator_metrics.counter("node.blocks_received").value();
   return run;
 }
 
@@ -139,15 +129,19 @@ TEST(TracePropagation, TwoNodeLifecycleSharesOneRoot) {
     EXPECT_TRUE(names.contains(required)) << "missing span: " << required;
   }
 
-  // One pid row per node in the exported trace.
+  // One pid row per node in the exported trace, each timing its own
+  // root stages: the tx root (built when producing, checked when
+  // receiving) and the state root.
   ASSERT_TRUE(v.spans_by_process.contains("node-A"));
   ASSERT_TRUE(v.spans_by_process.contains("node-B"));
   EXPECT_TRUE(v.spans_by_process.at("node-A").contains("produce_block"));
   EXPECT_TRUE(v.spans_by_process.at("node-B").contains("receive_block"));
-
-  // Each node's own registry counts its side of the lifecycle.
-  EXPECT_EQ(run.producer_registry_blocks, 1u);
-  EXPECT_EQ(run.validator_registry_blocks, 1u);
+  for (const char* node : {"node-A", "node-B"}) {
+    for (const char* stage : {"tx_root", "state_root"}) {
+      EXPECT_TRUE(v.spans_by_process.at(node).contains(stage))
+          << node << " missing span: " << stage;
+    }
+  }
 }
 
 TEST(TracePropagation, DroppedContextsFragmentTheTrace) {
