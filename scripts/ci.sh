@@ -9,6 +9,8 @@
 #    CMake package and so breaks first on an API it still uses;
 #  * asan  — ASan/UBSan on exec_test + conformance_test + audit_test:
 #    memory errors and UB under the thread pool's chunked parallel_for;
+#    common_test + chain_test run both SHA-256 kernels (SHA-NI intrinsics
+#    where the CPU has them) and the stack-buffer tx/merkle/header hashing;
 #    txconc_explain then analyzes a traced parallel_executor run, driving
 #    the trace parser and span-DAG analyzer over sanitizer-instrumented
 #    code;
@@ -95,10 +97,14 @@ if lane_enabled asan; then
     --target exec_test --target conformance_test --target audit_test \
     --target obs_test --target trace_propagation_test --target hotpath_test \
     --target block_stm_test --target critpath_test --target contention_test \
+    --target common_test --target chain_test \
     --target parallel_executor --target txconc_explain
   # Leak checking needs ptrace, which container CI runners often deny; the
   # races/UB we are after are caught without it.
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/obs_test
+  # SHA-256 kernels, golden tx/merkle/header digests.
+  ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/common_test
+  ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/chain_test
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/hotpath_test
   # The contention sketch/sink under ASan: lane merges, eviction churn.
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/contention_test

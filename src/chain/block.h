@@ -8,11 +8,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "account/types.h"
 #include "chain/merkle.h"
-#include "common/bytes.h"
 #include "common/error.h"
 #include "common/hash.h"
 
@@ -33,7 +33,8 @@ struct BlockHeader {
   std::uint64_t timestamp = 0;  ///< Seconds since chain genesis.
   std::uint64_t gas_used = 0;   ///< Gas the block's transactions used.
 
-  Bytes serialize() const;
+  /// Double SHA-256 over the 120-byte encoding: the three roots, then
+  /// height, timestamp and gas_used as little-endian u64.
   Hash256 hash() const;
 };
 
@@ -54,7 +55,7 @@ Hash256 transactions_root(std::span<const Tx> transactions) {
   for (const Tx& tx : transactions) {
     leaves.push_back(tx_hash(tx));
   }
-  return merkle_root(leaves);
+  return merkle_root(std::move(leaves));
 }
 
 /// The linkage fields of the header that extends `prev` (nullptr for the

@@ -1,8 +1,8 @@
 #include "chain/merkle.h"
 
-#include <vector>
+#include <array>
+#include <cstring>
 
-#include "common/bytes.h"
 #include "common/sha256.h"
 
 namespace txconc::chain {
@@ -10,34 +10,27 @@ namespace txconc::chain {
 namespace {
 
 Hash256 hash_pair(const Hash256& left, const Hash256& right) {
-  ByteWriter w(64);
-  w.raw(left.bytes);
-  w.raw(right.bytes);
+  std::array<std::uint8_t, 64> pair;
+  std::memcpy(pair.data(), left.bytes.data(), 32);
+  std::memcpy(pair.data() + 32, right.bytes.data(), 32);
   Hash256 out;
-  out.bytes = Sha256::hash_twice(w.data());
-  return out;
-}
-
-std::vector<Hash256> next_level(const std::vector<Hash256>& level) {
-  std::vector<Hash256> out;
-  out.reserve((level.size() + 1) / 2);
-  for (std::size_t i = 0; i < level.size(); i += 2) {
-    const Hash256& left = level[i];
-    const Hash256& right = (i + 1 < level.size()) ? level[i + 1] : level[i];
-    out.push_back(hash_pair(left, right));
-  }
+  out.bytes = Sha256::hash_twice(pair);
   return out;
 }
 
 }  // namespace
 
-Hash256 merkle_root(std::span<const Hash256> leaves) {
+Hash256 merkle_root(std::vector<Hash256> leaves) {
   if (leaves.empty()) return Hash256{};
-  std::vector<Hash256> level(leaves.begin(), leaves.end());
-  while (level.size() > 1) {
-    level = next_level(level);
+  // Each level overwrites the front of the one below it: entry i/2 is
+  // written only after entries i and i+1 were read.
+  for (std::size_t n = leaves.size(); n > 1; n = (n + 1) / 2) {
+    for (std::size_t i = 0; i < n; i += 2) {
+      const Hash256& right = (i + 1 < n) ? leaves[i + 1] : leaves[i];
+      leaves[i / 2] = hash_pair(leaves[i], right);
+    }
   }
-  return level[0];
+  return leaves[0];
 }
 
 }  // namespace txconc::chain

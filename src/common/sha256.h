@@ -2,6 +2,11 @@
 //
 // Used for transaction ids, block hashes and merkle trees so that the
 // simulated chains have realistic, collision-resistant identifiers.
+//
+// The compression function runs on the x86-64 SHA extensions (SHA-NI)
+// when CPUID reports them, and otherwise on a portable scalar kernel,
+// which is also the reference the tests compare the hardware kernel
+// against. The choice is made once per process; there is no knob.
 #pragma once
 
 #include <array>
@@ -37,8 +42,6 @@ class Sha256 {
   static Digest hash_twice(std::span<const std::uint8_t> data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::uint64_t bit_length_ = 0;

@@ -162,6 +162,106 @@ TEST(Ledger, FirstBlockMustBeGenesis) {
   EXPECT_THROW(ledger.tip(), UsageError);
 }
 
+// ------------------------------------------------------------ golden digests
+//
+// Pinned hex values of the canonical encodings. The inequality tests above
+// cannot see a drift that changes every digest at once (a reordered field,
+// a different length prefix, a wrong byte order); these can.
+
+account::AccountTx golden_transfer() {
+  account::AccountTx tx;
+  tx.from = Address::from_seed(1);
+  tx.to = Address::from_seed(2);
+  tx.value = 1000;
+  tx.gas_limit = 21000;
+  tx.gas_price = 3;
+  tx.nonce = 7;
+  return tx;
+}
+
+account::AccountTx golden_call() {
+  account::AccountTx tx = golden_transfer();
+  tx.to = Address::from_seed(3);
+  tx.value = 0;
+  tx.args = {1, 2, 0xdeadbeefcafef00dULL};
+  tx.address_args = {Address::from_seed(4), Address::from_seed(5)};
+  return tx;
+}
+
+account::AccountTx golden_creation() {
+  account::AccountTx tx = golden_transfer();
+  tx.to.reset();
+  tx.value = 5;
+  for (std::uint8_t b = 0; b < 70; ++b) {
+    tx.init_code.code.push_back(static_cast<std::uint8_t>(b * 7 + 1));
+  }
+  tx.init_code.address_table = {Address::from_seed(6), Address::from_seed(7)};
+  return tx;
+}
+
+// A deterministic mix of transfers, calls and creations whose encodings
+// span several SHA-256 block boundaries.
+std::vector<account::AccountTx> generated_txs(std::size_t n) {
+  std::vector<account::AccountTx> txs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    account::AccountTx& tx = txs[i];
+    tx.from = Address::from_seed(i % 17);
+    if (i % 5 != 0) tx.to = Address::from_seed(100 + i);
+    tx.value = i * 31;
+    tx.gas_limit = 21000 + i;
+    tx.gas_price = 1 + i % 9;
+    tx.nonce = i / 17;
+    for (std::size_t k = 0; k < i % 4; ++k) tx.args.push_back(i * 1000 + k);
+    for (std::size_t k = 0; k < i % 3; ++k) {
+      tx.address_args.push_back(Address::from_seed(500 + i + k));
+    }
+    if (!tx.to) {
+      for (std::size_t k = 0; k < i % 70; ++k) {
+        tx.init_code.code.push_back(static_cast<std::uint8_t>(i + k));
+      }
+      tx.init_code.address_table.push_back(Address::from_seed(900 + i));
+    }
+  }
+  return txs;
+}
+
+TEST(Golden, TxHashes) {
+  EXPECT_EQ(tx_hash(golden_transfer()).to_hex(),
+            "101e6f141d499d38a1d21b1231ec30d7ed67bff1fc4057a4de879b42c96fe9bf");
+  EXPECT_EQ(tx_hash(golden_call()).to_hex(),
+            "add8d995376ab2b81556cbb9a3367e6798a07d71d5fab240c37d48c007f799c4");
+  EXPECT_EQ(tx_hash(golden_creation()).to_hex(),
+            "edbea5eb777e5f9696a758d25a3378cbaf0da4263ecd9ebe55c256dae7a5071c");
+}
+
+TEST(Golden, TransactionsRoots) {
+  const auto root = [](std::size_t n) {
+    const auto txs = generated_txs(n);
+    return transactions_root(std::span<const account::AccountTx>(txs))
+        .to_hex();
+  };
+  EXPECT_EQ(root(1),
+            "c0a4afbc825b8fe21df85d0f7eec7cfc5e3cafff3f86a84936a6d111349a02ac");
+  EXPECT_EQ(root(2),
+            "7db4303e0badfb60109003e2b9d6fd286d568982b3126b25da9b349eca27da9c");
+  EXPECT_EQ(root(3),
+            "2a8bd3c2b284b36e4b11903874ea8ecf426837b881d1a5185c27192942637ebc");
+  EXPECT_EQ(root(400),
+            "d2ce44eaa75e7e02a82c25e354ac433f2668931aec1efc20f9050c9e97243a26");
+}
+
+TEST(Golden, HeaderHash) {
+  BlockHeader h;
+  h.prev_hash = Hash256::from_seed(11);
+  h.merkle_root = Hash256::from_seed(12);
+  h.state_root = Hash256::from_seed(13);
+  h.height = 0x0102030405060708ULL;
+  h.timestamp = 1600000000;
+  h.gas_used = 12345678;
+  EXPECT_EQ(h.hash().to_hex(),
+            "5526216932bab71daa6b9bdb15d45d1019c274ede357bec9881c5110bde2aeb6");
+}
+
 // ------------------------------------------------------------------- mempool
 
 TEST(Mempool, TakesHighestFeeFirst) {

@@ -11,6 +11,7 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/sha256.h"
+#include "common/sha256_kernels.h"
 #include "common/stats.h"
 
 namespace txconc {
@@ -134,6 +135,53 @@ TEST(Sha256, PaddingBoundaries) {
       h.update(std::span(&data[i], 1));
     }
     EXPECT_EQ(h.finalize(), Sha256::hash(data)) << "len=" << len;
+  }
+}
+
+// The two compression kernels. Sha256 runs only one of them per process
+// (SHA-NI where CPUID has it), so on such a host the scalar reference is
+// exercised here alone: it is pinned to a NIST vector, then the hardware
+// kernel is pinned to it.
+
+TEST(Sha256Kernels, ScalarKernelMatchesNistAbc) {
+  std::array<std::uint32_t, 8> state = {
+      0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+      0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  std::array<std::uint8_t, 64> block{};
+  block[0] = 'a';
+  block[1] = 'b';
+  block[2] = 'c';
+  block[3] = 0x80;
+  block[63] = 24;  // bit length
+  sha256_kernels::compress_scalar(state.data(), block.data(), 1);
+  const std::array<std::uint32_t, 8> expected = {
+      0xba7816bf, 0x8f01cfea, 0x414140de, 0x5dae2223,
+      0xb00361a3, 0x96177a9c, 0xb410ff61, 0xf20015ad};
+  EXPECT_EQ(state, expected);
+}
+
+TEST(Sha256Kernels, ShaNiMatchesScalarOnRandomInputs) {
+  if (!sha256_kernels::has_sha_ni()) {
+    GTEST_SKIP() << "CPU lacks SHA-NI; only the scalar kernel runs here";
+  }
+  // 10 000 calls over 1-3 consecutive blocks each: the multi-block loop
+  // must carry the state between blocks exactly as the scalar one does.
+  Rng rng(20260419);
+  std::array<std::uint8_t, 3 * 64> data;
+  for (int trial = 0; trial < 10000; ++trial) {
+    std::array<std::uint32_t, 8> scalar;
+    for (std::uint32_t& word : scalar) {
+      word = static_cast<std::uint32_t>(rng.next_u64());
+    }
+    for (std::uint8_t& byte : data) {
+      byte = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    const std::size_t blocks = 1 + static_cast<std::size_t>(rng.uniform(3));
+    std::array<std::uint32_t, 8> hardware = scalar;
+    sha256_kernels::compress_scalar(scalar.data(), data.data(), blocks);
+    sha256_kernels::compress_sha_ni(hardware.data(), data.data(), blocks);
+    ASSERT_EQ(hardware, scalar) << "trial " << trial << ", " << blocks
+                                << " block(s)";
   }
 }
 

@@ -5,7 +5,9 @@
 // receipt/tracker, exporting the write log — performs ZERO heap
 // allocations once the scratch is warm (DESIGN.md §13). These tests pin
 // that with a counting operator new, plus unit coverage for the
-// flat epoch-cleared containers the promise rests on.
+// flat epoch-cleared containers the promise rests on. The node's block
+// hashing (tx ids, the tx merkle root, header hashes) is pinned the same
+// way.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +19,7 @@
 #include "account/runtime.h"
 #include "account/state.h"
 #include "account/types.h"
+#include "chain/block.h"
 #include "common/flat_table.h"
 #include "exec/block_stm.h"
 #include "exec/executor.h"
@@ -55,6 +58,53 @@ std::uint64_t allocations() {
 }
 
 Address addr(std::uint64_t seed) { return Address::from_seed(seed); }
+
+// --------------------------------------------------------- block hashing
+
+// 400 transactions mixing transfers, calls with arguments and creations
+// with code, so every field of the encoding is streamed.
+std::vector<account::AccountTx> hashing_block() {
+  std::vector<account::AccountTx> txs(400);
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    account::AccountTx& tx = txs[i];
+    tx.from = addr(i);
+    tx.nonce = i;
+    if (i % 10 == 0) {
+      tx.init_code.code.assign(90, static_cast<std::uint8_t>(i));
+      tx.init_code.address_table = {addr(i + 1000)};
+    } else {
+      tx.to = addr(i + 500);
+      tx.args = {i, i * 3};
+      tx.address_args = {addr(i + 2000)};
+    }
+  }
+  return txs;
+}
+
+TEST(BlockHashing, TxHashAndHeaderHashAreAllocationFree) {
+  const std::vector<account::AccountTx> txs = hashing_block();
+  chain::BlockHeader header;
+  header.prev_hash = Hash256::from_seed(1);
+  header.height = 7;
+
+  const std::uint64_t before = allocations();
+  std::uint64_t sink = 0;
+  for (const account::AccountTx& tx : txs) sink += chain::tx_hash(tx).low64();
+  sink += header.hash().low64();
+  EXPECT_EQ(allocations() - before, 0u)
+      << "tx_hash and BlockHeader::hash must hash from the stack";
+  EXPECT_NE(sink, 0u);
+}
+
+TEST(BlockHashing, TransactionsRootAllocatesOnlyTheLeafVector) {
+  const std::vector<account::AccountTx> txs = hashing_block();
+  const std::uint64_t before = allocations();
+  const Hash256 root =
+      chain::transactions_root(std::span<const account::AccountTx>(txs));
+  EXPECT_EQ(allocations() - before, 1u)
+      << "the merkle levels must reuse the one leaf vector";
+  EXPECT_FALSE(root.is_zero());
+}
 
 // ------------------------------------------------------------ FlatTable
 
